@@ -11,7 +11,7 @@
 
 use crate::controller::ControllerError;
 use crate::experiment::ExperimentSpec;
-use pos_loadgen::scenario::{run_forwarding_experiment, ForwardingScenario, Platform};
+use pos_loadgen::scenario::{ForwardingScenario, Platform};
 use pos_simkernel::{SimDuration, SimRng};
 use pos_testbed::{
     clone_virtual, CloneOptions, CommandResult, DeviceKind, HardwareSpec, InitInterface, PortId,
@@ -345,33 +345,33 @@ fn moongen_command(tb: &mut Testbed, host: &str, argv: &[String]) -> CommandResu
         imix,
         link_fault,
     };
-    let result = run_forwarding_experiment(&scenario);
-
-    // Store the capture in the host's filesystem; the controller collects
-    // everything under /srv/results/ into the run's artifacts.
-    if let Some(path) = pcap_path {
-        let mut writer = match pos_packet::pcap::PcapWriter::new(Vec::new()) {
-            Ok(w) => w,
-            Err(e) => return CommandResult::fail(1, format!("moongen: pcap: {e}")),
-        };
-        for cap in &result.tx_capture {
-            if let Err(e) = writer.write(cap.ts_ns, &cap.frame) {
-                return CommandResult::fail(1, format!("moongen: pcap: {e}"));
-            }
-        }
-        match writer.finish() {
-            Ok(bytes) => {
-                tb.host_mut(host)
-                    .expect("reachability checked by exec")
-                    .fs
-                    .insert(path, bytes);
-            }
-            Err(e) => return CommandResult::fail(1, format!("moongen: pcap: {e}")),
-        }
-    }
-
+    // The virtual duration is fixed by the arguments; every failure exit
+    // above is decided before the simulation. So the simulation runs on
+    // the measurement pool, and inside a controller's measurement phase
+    // the report is spliced in when the run commits. A requested capture
+    // is waited for here: later commands may read it from the host.
     let elapsed = scenario.duration + SimDuration::from_millis(200);
-    CommandResult::ok(result.report.render_text()).with_duration(elapsed)
+    let measurement = crate::measure::submit(scenario, pcap_path.is_some());
+    let Some(path) = pcap_path else {
+        if crate::measure::deferring() {
+            crate::measure::stash(measurement);
+            return CommandResult::ok("").with_duration(elapsed);
+        }
+        return CommandResult::ok(measurement.wait().stdout).with_duration(elapsed);
+    };
+    let rendered = measurement.wait();
+    match rendered.pcap.expect("capture requested") {
+        Ok(bytes) => {
+            // The controller collects everything under /srv/results/ into
+            // the run's artifacts.
+            tb.host_mut(host)
+                .expect("reachability checked by exec")
+                .fs
+                .insert(path, bytes);
+        }
+        Err(e) => return CommandResult::fail(1, format!("moongen: pcap: {e}")),
+    }
+    CommandResult::ok(rendered.stdout).with_duration(elapsed)
 }
 
 /// The `iperf` command: `iperf --rate <pps> --size <bytes> --time <secs>`.

@@ -13,6 +13,14 @@
 //! host's segment in its own time lane (see [`Testbed::set_now`]) and
 //! completes the barrier at the latest lane end.
 //!
+//! Pipelining: a run splits into a cheap, virtual-time *control plane*
+//! ([`Controller::run_control_plane`]) and a *commit*
+//! ([`Controller::commit_run`]) that performs every durable and
+//! observable effect. The packet simulations a control plane starts run
+//! on the [`crate::measure`] pool, so a campaign runs the next runs'
+//! control planes while earlier runs measure, and commits strictly in
+//! run order — the journal and tree bytes are the unpipelined ones.
+//!
 //! Recovery (R3): a host that stops answering in-band is re-initialized
 //! out of band (reset, or power-cycle for plugs), its live image rebooted,
 //! tools redeployed, and its setup script re-run; the interrupted
@@ -32,6 +40,7 @@
 use crate::experiment::{ExperimentSpec, SpecError};
 use crate::journal::{Journal, JournalError, JournalRecord, JOURNAL_FILE};
 use crate::loopvars::{cross_product_size, expand_cross_product, RunParams};
+use crate::measure::Measurement;
 use crate::resultstore::{run_metadata, ResultStore};
 use crate::script::Step;
 use crate::vars::Variables;
@@ -39,7 +48,7 @@ use crate::vfs::Vfs;
 use pos_netsim::{ChaosEvent, ChaosPlan};
 use pos_simkernel::{Backoff, SimDuration, SimTime, TraceLevel};
 use pos_testbed::{CommandResult, ExecError, PowerError, Testbed};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -636,6 +645,9 @@ pub struct Controller<'t> {
     tb: TbRef<'t>,
     progress: Option<ProgressFn>,
     health: BTreeMap<String, HostHealth>,
+    /// Open while a run's control plane executes: progress events and
+    /// quarantine records collect here until the run commits.
+    buffered: Option<Vec<Effect>>,
 }
 
 impl<'t> Controller<'t> {
@@ -645,6 +657,7 @@ impl<'t> Controller<'t> {
             tb: TbRef::Borrowed(tb),
             progress: None,
             health: BTreeMap::new(),
+            buffered: None,
         }
     }
 
@@ -657,6 +670,7 @@ impl<'t> Controller<'t> {
             tb: TbRef::Owned(Box::new(tb)),
             progress: None,
             health: BTreeMap::new(),
+            buffered: None,
         }
     }
 
@@ -679,7 +693,9 @@ impl<'t> Controller<'t> {
     }
 
     fn emit(&mut self, p: Progress) {
-        if let Some(cb) = self.progress.as_mut() {
+        if let Some(effects) = self.buffered.as_mut() {
+            effects.push(Effect::Progress(p));
+        } else if let Some(cb) = self.progress.as_mut() {
             cb(&p);
         }
     }
@@ -901,13 +917,14 @@ impl<'t> Controller<'t> {
     /// Executes one script phase on all roles in lockstep: between
     /// barriers, every role's segment runs in its own time lane; the
     /// barrier completes at the latest lane end. Returns the captured
-    /// stdout of all commands per role.
+    /// stdout of all commands per role, with the reports of deferred
+    /// measurements still pending (see [`crate::measure`]).
     fn run_scripts_lockstep(
         &mut self,
         spec: &ExperimentSpec,
         phase: &str,
         run: Option<&RunParams>,
-    ) -> Result<BTreeMap<String, CommandResult>, Box<ScriptFailure>> {
+    ) -> Result<BTreeMap<String, RoleOutput>, Box<ScriptFailure>> {
         // Instantiate all scripts up front.
         let instantiated: Vec<Vec<Step>> = spec
             .roles
@@ -940,7 +957,7 @@ impl<'t> Controller<'t> {
             .collect();
         let n_segments = segmented.iter().map(Vec::len).max().unwrap_or(1);
 
-        let mut aggregated: BTreeMap<String, CommandResult> = BTreeMap::new();
+        let mut aggregated: BTreeMap<String, RoleOutput> = BTreeMap::new();
         for seg_idx in 0..n_segments {
             let barrier_start = self.tb.now();
             let mut barrier_end = barrier_start;
@@ -951,7 +968,9 @@ impl<'t> Controller<'t> {
                 // This role's lane starts at the barrier instant.
                 self.tb.set_now(barrier_start);
                 for cmd in commands {
-                    let result = self.tb.exec(&role.host, cmd).map_err(|e| {
+                    let result = self.tb.exec(&role.host, cmd);
+                    let deferred = crate::measure::take_deferred();
+                    let result = result.map_err(|e| {
                         Box::new(ScriptFailure {
                             role: role.role.clone(),
                             command: cmd.clone(),
@@ -959,23 +978,20 @@ impl<'t> Controller<'t> {
                             exec: Some(e),
                         })
                     })?;
-                    let entry = aggregated.entry(role.role.clone()).or_insert_with(|| {
-                        CommandResult::ok("").with_duration(pos_simkernel::SimDuration::ZERO)
-                    });
-                    if !result.stdout.is_empty() {
-                        entry.stdout.push_str(&result.stdout);
-                        if !result.stdout.ends_with('\n') {
-                            entry.stdout.push('\n');
-                        }
+                    let entry = aggregated
+                        .entry(role.role.clone())
+                        .or_insert_with(|| RoleOutput {
+                            result: CommandResult::ok("")
+                                .with_duration(pos_simkernel::SimDuration::ZERO),
+                            reports: Vec::new(),
+                        });
+                    if let Some(m) = deferred {
+                        entry.reports.push((entry.result.stdout.len(), m));
                     }
-                    if !result.stderr.is_empty() {
-                        entry.stderr.push_str(&result.stderr);
-                        if !result.stderr.ends_with('\n') {
-                            entry.stderr.push('\n');
-                        }
-                    }
+                    append_output(&mut entry.result.stdout, &result.stdout);
+                    append_output(&mut entry.result.stderr, &result.stderr);
                     if !result.success() {
-                        entry.exit_code = result.exit_code;
+                        entry.result.exit_code = result.exit_code;
                         return Err(Box::new(ScriptFailure {
                             role: role.role.clone(),
                             command: cmd.clone(),
@@ -1390,12 +1406,36 @@ impl<'t> Controller<'t> {
         } = setup;
 
         // -------------------------------------------- measurement phase
+        // The control plane runs up to `depth` runs ahead of the commits,
+        // so that many packet simulations overlap on the measurement pool;
+        // commits land strictly in run order.
         let total = runs.len();
-        let mut records = Vec::with_capacity(total);
-        let mut total_recoveries = 0u32;
-        let mut failed_runs: Vec<usize> = Vec::new();
-        let mut quarantined_hosts: Vec<String> = Vec::new();
-        let mut total_recovery_time = SimDuration::ZERO;
+        let depth = crate::measure::parallelism();
+        let mut tally = Tally::default();
+        let mut canceled = false;
+        // Commits the oldest runs until `keep` are left in flight. Each
+        // commit is a *cooperative checkpoint*: once the cancel token is
+        // tripped the campaign stops there, between durable runs, and the
+        // runs in flight are discarded; resume picks up at that run.
+        let mut commit_down_to = |ctl: &mut Self, tally: &mut Tally, keep: usize| {
+            while tally.in_flight.len() > keep {
+                let pending = tally.in_flight.pop_front().expect("runs in flight");
+                if opts.cancel.is_canceled() {
+                    return Err(ControllerError::Canceled {
+                        completed_runs: tally.records.len(),
+                    });
+                }
+                let step = ctl.commit_run(pending, spec, opts, &store, &mut journal, total)?;
+                tally.recoveries += step.recoveries;
+                tally.recovery_time += step.recovery_time;
+                tally.quarantined_hosts.extend(step.quarantined);
+                if !step.record.success {
+                    tally.failed_runs.push(step.record.params.index);
+                }
+                tally.records.push(step.record);
+            }
+            Ok::<(), ControllerError>(())
+        };
         // Quarantines journaled before the last durable run are history
         // the skipped runs executed under; restore them silently (no Info
         // log — the uninterrupted session logged the transition at fault
@@ -1407,10 +1447,13 @@ impl<'t> Controller<'t> {
                 "controller",
                 format!("resume: {host} restored as quarantined"),
             );
-            quarantined_hosts.push(host.clone());
+            tally.quarantined_hosts.push(host.clone());
         }
         for run in &runs {
             if let Some(done) = resume.completed.get(&run.index) {
+                // A skipped run lands in the outcome at once, so whatever
+                // is in flight commits first.
+                commit_down_to(self, &mut tally, 0)?;
                 // Verified complete by an earlier session: fast-forward
                 // the virtual clock to the recorded run end and seek the
                 // shared management RNG stream to its recorded cursor —
@@ -1433,10 +1476,10 @@ impl<'t> Controller<'t> {
                     "controller",
                     format!("resume: run {} verified, skipped", run.index),
                 );
-                total_recoveries += done.recoveries;
-                total_recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
+                tally.recoveries += done.recoveries;
+                tally.recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
                 if !done.success {
-                    failed_runs.push(run.index);
+                    tally.failed_runs.push(run.index);
                 }
                 let run_dir = store.run_dir(run.index)?;
                 let outputs = Self::reload_run_outputs(spec, &run_dir)?;
@@ -1444,7 +1487,7 @@ impl<'t> Controller<'t> {
                     index: run.index,
                     total,
                 });
-                records.push(RunRecord {
+                tally.records.push(RunRecord {
                     params: run.clone(),
                     outputs,
                     attempts: done.attempts,
@@ -1454,22 +1497,25 @@ impl<'t> Controller<'t> {
                 });
                 continue;
             }
-            // Cooperative checkpoint: an urgent drain trips the token and
-            // the campaign stops *here*, between runs — every journaled
-            // record is consistent, so resume picks up at this exact run.
             if opts.cancel.is_canceled() {
-                return Err(ControllerError::Canceled {
-                    completed_runs: records.len(),
-                });
+                canceled = true;
+                break;
             }
-            let step = self.execute_one_run(spec, opts, &store, &mut journal, run, total)?;
-            total_recoveries += step.recoveries;
-            total_recovery_time += step.recovery_time;
-            quarantined_hosts.extend(step.quarantined);
-            if !step.record.success {
-                failed_runs.push(run.index);
+            commit_down_to(self, &mut tally, depth - 1)?;
+            let pending = self.run_control_plane(spec, opts, run);
+            // Nothing may run past an aborting run: its commit renders
+            // controller.log from the trace as it stands.
+            let aborts = pending.aborts(opts);
+            tally.in_flight.push_back(pending);
+            if aborts {
+                break;
             }
-            records.push(step.record);
+        }
+        commit_down_to(self, &mut tally, 0)?;
+        if canceled {
+            return Err(ControllerError::Canceled {
+                completed_runs: tally.records.len(),
+            });
         }
 
         // ------------------------------------------------------ wrap-up
@@ -1485,62 +1531,108 @@ impl<'t> Controller<'t> {
         )?;
         journal.append(&JournalRecord::CampaignFinished {
             finished_ns: finished.as_nanos(),
-            succeeded: records.iter().filter(|r| r.success).count(),
-            failed: failed_runs.len(),
+            succeeded: tally.records.iter().filter(|r| r.success).count(),
+            failed: tally.failed_runs.len(),
         })?;
         self.tb.calendar.release(reservation);
         Ok(ExperimentOutcome {
             result_dir: store.dir().to_path_buf(),
-            runs: records,
+            runs: tally.records,
             started,
             finished,
-            recoveries: total_recoveries,
-            failed_runs,
-            quarantined_hosts,
+            recoveries: tally.recoveries,
+            failed_runs: tally.failed_runs,
+            quarantined_hosts: tally.quarantined_hosts,
             quarantined_runs: Vec::new(),
-            total_recovery_time,
+            total_recovery_time: tally.recovery_time,
         })
     }
 
-    /// Executes one measurement run at the testbed's current virtual
-    /// instant: wipes leftovers, journals `RunStarted`, runs the
-    /// measurement scripts with the full retry/recovery/quarantine
-    /// machinery, captures artifacts, seals the run, and journals
-    /// `RunCompleted`.
+    /// The control plane of one measurement run, at the testbed's current
+    /// virtual instant: deploys, measurement scripts, and the full
+    /// retry/recovery/quarantine machinery. It touches nothing durable
+    /// and emits no progress — both are recorded in the returned
+    /// [`PendingRun`] for [`Self::commit_run`] — and it does not wait for
+    /// the packet simulations it starts: their virtual duration is known
+    /// up front, so the timeline (and the next run's control plane) can
+    /// move on while they run on the measurement pool.
     ///
     /// This is the unit a parallel scheduler dispatches to a worker lane:
-    /// the lane's controller keeps its own health map and journal, while
-    /// `store` may be shared (runs write disjoint `run-NNNN` directories).
-    /// An aborting failure (unsuccessful run without
-    /// [`RunOptions::continue_on_run_failure`]) writes `controller.log`
-    /// and returns [`ControllerError::RunFailed`], leaving the run
-    /// journaled as started-only so a resume retries it.
-    pub fn execute_one_run(
+    /// the lane's controller keeps its own health map, clock and trace.
+    pub fn run_control_plane(
         &mut self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
-        store: &ResultStore,
-        journal: &mut Journal,
         run: &RunParams,
-        total: usize,
-    ) -> Result<RunStep, ControllerError> {
-        let mut quarantined: Vec<String> = Vec::new();
-        // Not durable: clear any partial leftovers first, so what the
-        // crash happened to leave behind cannot influence convergence.
-        store.wipe_run(run.index)?;
-        let run_started = self.tb.now();
-        journal.append(&JournalRecord::RunStarted {
-            index: run.index,
-            started_ns: run_started.as_nanos(),
-        })?;
+    ) -> PendingRun {
         // Sequence number of the next trace entry; robust against ring
         // eviction (`len` alone would drift once entries are dropped).
         let trace_mark = self.tb.trace.len() as u64 + self.tb.trace.dropped();
-        let mut attempts = 0u32;
-        let mut recoveries = 0u32;
-        let mut run_recovery_time = SimDuration::ZERO;
-        let mut outputs = BTreeMap::new();
-        let mut success = false;
+        self.buffered = Some(Vec::new());
+        let mut p = PendingRun {
+            run: run.clone(),
+            started: self.tb.now(),
+            finished: self.tb.now(),
+            attempts: 0,
+            success: false,
+            recoveries: 0,
+            recovery_time: SimDuration::ZERO,
+            quarantined: Vec::new(),
+            effects: Vec::new(),
+            outputs: BTreeMap::new(),
+            files: Vec::new(),
+            rng_cursor: 0,
+            fault_trace: Vec::new(),
+            abort: None,
+        };
+        p.abort = self.measure_attempts(spec, opts, &mut p).err();
+        p.effects = self.buffered.take().unwrap_or_default();
+        if p.abort.is_none() {
+            // Files the scripts left under /srv/results/ on the hosts
+            // (pcap dumps etc.) are uploaded to the controller and
+            // cleared, so the next run starts empty.
+            for role in &spec.roles {
+                if let Some(host) = self.tb.host_mut(&role.host) {
+                    let keys: Vec<String> = host
+                        .fs
+                        .keys()
+                        .filter(|k| k.starts_with("/srv/results/"))
+                        .cloned()
+                        .collect();
+                    for key in keys {
+                        let data = host.fs.remove(&key).expect("key just listed");
+                        let base = key.rsplit('/').next().expect("non-empty path");
+                        p.files.push((format!("{}_{base}", role.role), data));
+                    }
+                }
+            }
+        }
+        // Everything Warn-and-above since the run started is this run's
+        // fault story — empty for clean runs.
+        let skip = trace_mark.saturating_sub(self.tb.trace.dropped()) as usize;
+        p.fault_trace = self
+            .tb
+            .trace
+            .iter()
+            .skip(skip)
+            .filter(|e| e.level >= TraceLevel::Warn)
+            .map(|e| e.to_string())
+            .collect();
+        p.finished = self.tb.now();
+        p.rng_cursor = self.tb.rng_cursor();
+        p
+    }
+
+    /// The attempt loop of [`Self::run_control_plane`]. An `Err` is the
+    /// campaign-ending error the run's commit returns after journaling
+    /// what happened up to it.
+    fn measure_attempts(
+        &mut self,
+        spec: &ExperimentSpec,
+        opts: &RunOptions,
+        p: &mut PendingRun,
+    ) -> Result<(), ControllerError> {
+        let run = &p.run.clone();
         let mut backoff = self.backoff(opts, &format!("run/{}", run.index));
 
         // Runs depending on a quarantined host fail fast: burning the
@@ -1559,8 +1651,9 @@ impl<'t> Controller<'t> {
             );
         }
 
-        'attempts: while quarantined_dep.is_none() && attempts <= opts.max_run_retries {
-            attempts += 1;
+        'attempts: while quarantined_dep.is_none() && p.attempts <= opts.max_run_retries {
+            p.attempts += 1;
+            let attempts = p.attempts;
             // Loop variables are (re)deployed to every host each
             // attempt, so hosts can read them via pos_get_var. The
             // deployments proceed concurrently (one lane per host).
@@ -1587,14 +1680,17 @@ impl<'t> Controller<'t> {
                     result: None,
                     exec: Some(e),
                 })),
-                None => match self.run_scripts_lockstep(spec, "measurement", Some(run)) {
-                    Ok(out) => {
-                        outputs = out;
-                        success = true;
-                        None
+                None => {
+                    let _deferred = crate::measure::DeferScope::open();
+                    match self.run_scripts_lockstep(spec, "measurement", Some(run)) {
+                        Ok(out) => {
+                            p.outputs = out;
+                            p.success = true;
+                            None
+                        }
+                        Err(f) => Some(f),
                     }
-                    Err(f) => Some(f),
-                },
+                }
             };
 
             let Some(f) = failure else { break };
@@ -1651,24 +1747,28 @@ impl<'t> Controller<'t> {
                 match self.recover_host(&host, spec, run, opts) {
                     Ok(()) => {
                         let took = self.tb.now().saturating_duration_since(recovery_started);
-                        run_recovery_time += took;
+                        p.recovery_time += took;
                         self.set_health(&host, HostHealth::Healthy);
                         self.emit(Progress::HostRecovered { host: host.clone() });
-                        recoveries += 1;
+                        p.recoveries += 1;
                     }
                     Err(e) => {
                         self.set_health(&host, HostHealth::Quarantined);
-                        quarantined.push(host.clone());
+                        p.quarantined.push(host.clone());
                         self.log_now(
                             TraceLevel::Error,
                             "controller",
                             format!("{host}: recovery failed, quarantined ({e})"),
                         );
                         self.emit(Progress::HostQuarantined { host: host.clone() });
-                        journal.append(&JournalRecord::HostQuarantined {
-                            host: host.clone(),
-                            at_ns: self.tb.now().as_nanos(),
-                        })?;
+                        let at_ns = self.tb.now().as_nanos();
+                        self.buffered
+                            .as_mut()
+                            .expect("inside a control plane")
+                            .push(Effect::Quarantined {
+                                host: host.clone(),
+                                at_ns,
+                            });
                         if opts.continue_on_run_failure {
                             break 'attempts;
                         }
@@ -1677,34 +1777,67 @@ impl<'t> Controller<'t> {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Makes a run durable and observable, in the order an unpipelined
+    /// campaign does it: wipe leftovers, journal `RunStarted`, replay the
+    /// control plane's progress and `HostQuarantined` records, then —
+    /// waiting for the run's measurements — write its outputs, files and
+    /// metadata, seal it, report `RunDone`, and journal `RunCompleted`.
+    ///
+    /// `store` may be shared between lanes (runs write disjoint
+    /// `run-NNNN` directories). An aborting failure (unsuccessful run
+    /// without [`RunOptions::continue_on_run_failure`]) writes
+    /// `controller.log` and returns [`ControllerError::RunFailed`],
+    /// leaving the run journaled as started-only so a resume retries it;
+    /// an error the control plane hit mid-run is returned right after
+    /// the records leading up to it.
+    pub fn commit_run(
+        &mut self,
+        p: PendingRun,
+        spec: &ExperimentSpec,
+        opts: &RunOptions,
+        store: &ResultStore,
+        journal: &mut Journal,
+        total: usize,
+    ) -> Result<RunStep, ControllerError> {
+        let index = p.run.index;
+        // Not durable: clear any partial leftovers first, so what the
+        // crash happened to leave behind cannot influence convergence.
+        store.wipe_run(index)?;
+        journal.append(&JournalRecord::RunStarted {
+            index,
+            started_ns: p.started.as_nanos(),
+        })?;
+        for effect in p.effects {
+            match effect {
+                Effect::Progress(event) => self.emit(event),
+                Effect::Quarantined { host, at_ns } => {
+                    journal.append(&JournalRecord::HostQuarantined { host, at_ns })?
+                }
+            }
+        }
+        if let Some(e) = p.abort {
+            return Err(e);
+        }
 
         // Capture per-run artifacts: command output...
-        for (role, result) in &outputs {
+        let mut captured = BTreeMap::new();
+        for (role, output) in p.outputs {
+            let result = output.resolve();
             store.write_run_output(
-                run.index,
-                role,
+                index,
+                &role,
                 &result.stdout,
                 &result.stderr,
                 result.exit_code,
             )?;
+            captured.insert(role, result);
         }
-        // ...plus any files the scripts left under /srv/results/ on
-        // the hosts (pcap dumps etc.), uploaded to the controller and
-        // cleared so the next run starts empty.
-        for role in &spec.roles {
-            if let Some(host) = self.tb.host_mut(&role.host) {
-                let keys: Vec<String> = host
-                    .fs
-                    .keys()
-                    .filter(|k| k.starts_with("/srv/results/"))
-                    .cloned()
-                    .collect();
-                for key in keys {
-                    let data = host.fs.remove(&key).expect("key just listed");
-                    let base = key.rsplit('/').next().expect("non-empty path");
-                    store.write_run_file(run.index, &format!("{}_{base}", role.role), data)?;
-                }
-            }
+        // ...plus the files collected from the hosts.
+        for (name, data) in p.files {
+            store.write_run_file(index, &name, data)?;
         }
         let hosts_map: BTreeMap<String, String> = spec
             .roles
@@ -1712,24 +1845,19 @@ impl<'t> Controller<'t> {
             .map(|r| (r.role.clone(), r.host.clone()))
             .collect();
         store.write_run_metadata(&run_metadata(
-            run,
-            run_started,
-            self.tb.now(),
-            attempts,
-            success,
-            hosts_map,
+            &p.run, p.started, p.finished, p.attempts, p.success, hosts_map,
         ))?;
         // Seal the run: the checksum manifest is the last artifact
         // written, so its presence certifies every other one.
-        let digest = store.finalize_run(run.index)?;
-        let run_dir = store.run_dir(run.index)?;
+        let digest = store.finalize_run(index)?;
+        let run_dir = store.run_dir(index)?;
         self.emit(Progress::RunDone {
-            index: run.index,
+            index,
             total,
-            success,
+            success: p.success,
             dir: run_dir,
         });
-        if !success && !opts.continue_on_run_failure {
+        if !p.success && !opts.continue_on_run_failure {
             // No RunCompleted record: an aborting failure leaves the
             // run journaled as started-only, so a resume retries it.
             store.write(
@@ -1737,48 +1865,36 @@ impl<'t> Controller<'t> {
                 self.tb.trace.render_min_level(TraceLevel::Info),
             )?;
             return Err(ControllerError::RunFailed {
-                index: run.index,
-                attempts,
+                index,
+                attempts: p.attempts,
             });
         }
-        // Everything Warn-and-above since the run started is this run's
-        // fault story — empty for clean runs.
-        let skip = trace_mark.saturating_sub(self.tb.trace.dropped()) as usize;
-        let fault_trace: Vec<String> = self
-            .tb
-            .trace
-            .iter()
-            .skip(skip)
-            .filter(|e| e.level >= TraceLevel::Warn)
-            .map(|e| e.to_string())
-            .collect();
-        let finished = self.tb.now();
         journal.append(&JournalRecord::RunCompleted {
-            index: run.index,
-            success,
-            attempts,
-            recoveries,
-            recovery_time_ns: run_recovery_time.as_nanos(),
-            started_ns: run_started.as_nanos(),
-            finished_ns: finished.as_nanos(),
-            rng_cursor: self.tb.rng_cursor(),
+            index,
+            success: p.success,
+            attempts: p.attempts,
+            recoveries: p.recoveries,
+            recovery_time_ns: p.recovery_time.as_nanos(),
+            started_ns: p.started.as_nanos(),
+            finished_ns: p.finished.as_nanos(),
+            rng_cursor: p.rng_cursor,
             digest: digest.clone(),
-            fault_trace: fault_trace.clone(),
+            fault_trace: p.fault_trace.clone(),
         })?;
         Ok(RunStep {
             record: RunRecord {
-                params: run.clone(),
-                outputs,
-                attempts,
-                success,
-                recoveries,
-                fault_trace,
+                params: p.run,
+                outputs: captured,
+                attempts: p.attempts,
+                success: p.success,
+                recoveries: p.recoveries,
+                fault_trace: p.fault_trace,
             },
-            quarantined,
-            recoveries,
-            recovery_time: run_recovery_time,
-            started: run_started,
-            finished,
+            quarantined: p.quarantined,
+            recoveries: p.recoveries,
+            recovery_time: p.recovery_time,
+            started: p.started,
+            finished: p.finished,
             digest,
         })
     }
@@ -1827,7 +1943,7 @@ pub struct CampaignSetup {
     pub started: SimTime,
 }
 
-/// What [`Controller::execute_one_run`] produced: the run's record plus
+/// What [`Controller::commit_run`] produced: the run's record plus
 /// the bookkeeping a campaign (or scheduler) accumulates across runs.
 #[derive(Debug)]
 pub struct RunStep {
@@ -1845,6 +1961,109 @@ pub struct RunStep {
     pub finished: SimTime,
     /// The sealed run's digest, as journaled in `RunCompleted`.
     pub digest: String,
+}
+
+/// A run whose control plane ([`Controller::run_control_plane`]) has
+/// finished and whose durable and observable effects wait for
+/// [`Controller::commit_run`]: the timeline it occupied, its outcome,
+/// the progress and quarantine records it produced, the files drained
+/// from its hosts, and its captured output — whose measurement reports
+/// may still be simulating on the [`crate::measure`] pool.
+#[derive(Debug)]
+pub struct PendingRun {
+    run: RunParams,
+    started: SimTime,
+    finished: SimTime,
+    attempts: u32,
+    success: bool,
+    recoveries: u32,
+    recovery_time: SimDuration,
+    quarantined: Vec<String>,
+    effects: Vec<Effect>,
+    outputs: BTreeMap<String, RoleOutput>,
+    files: Vec<(String, Vec<u8>)>,
+    rng_cursor: u64,
+    fault_trace: Vec<String>,
+    abort: Option<ControllerError>,
+}
+
+impl PendingRun {
+    /// Virtual instant the run started.
+    pub fn started(&self) -> SimTime {
+        self.started
+    }
+
+    /// Virtual instant the run finished.
+    pub fn finished(&self) -> SimTime {
+        self.finished
+    }
+
+    /// Whether committing the run ends the campaign with an error; no
+    /// later run's control plane may start before it commits.
+    pub fn aborts(&self, opts: &RunOptions) -> bool {
+        self.abort.is_some() || (!self.success && !opts.continue_on_run_failure)
+    }
+}
+
+/// An observable effect of a run's control plane, replayed in order when
+/// the run commits.
+#[derive(Debug)]
+enum Effect {
+    Progress(Progress),
+    Quarantined { host: String, at_ns: u64 },
+}
+
+/// One role's captured script output. Each `moongen` report deferred to
+/// the measurement pool belongs at a byte offset of `result.stdout`.
+#[derive(Debug)]
+struct RoleOutput {
+    result: CommandResult,
+    reports: Vec<(usize, Measurement)>,
+}
+
+impl RoleOutput {
+    /// Waits for the deferred reports and splices each in where its
+    /// command's output would have been captured.
+    fn resolve(self) -> CommandResult {
+        let RoleOutput {
+            mut result,
+            reports,
+        } = self;
+        if reports.is_empty() {
+            return result;
+        }
+        let captured = std::mem::take(&mut result.stdout);
+        let mut at = 0;
+        for (offset, report) in reports {
+            result.stdout.push_str(&captured[at..offset]);
+            append_output(&mut result.stdout, &report.wait().stdout);
+            at = offset;
+        }
+        result.stdout.push_str(&captured[at..]);
+        result
+    }
+}
+
+/// Appends one command's output to a role's capture, newline-terminated.
+fn append_output(capture: &mut String, out: &str) {
+    if !out.is_empty() {
+        capture.push_str(out);
+        if !out.ends_with('\n') {
+            capture.push('\n');
+        }
+    }
+}
+
+/// A campaign's runs in flight (control plane done, commit pending),
+/// oldest first, and what its committed runs add up to.
+#[derive(Debug, Default)]
+struct Tally {
+    in_flight: VecDeque<PendingRun>,
+    records: Vec<RunRecord>,
+    recoveries: u32,
+    recovery_time: SimDuration,
+    failed_runs: Vec<usize>,
+    quarantined_hosts: Vec<String>,
 }
 
 /// What a resume session learned from the journal: runs it may skip and

@@ -23,6 +23,9 @@
 //!   metadata "garnished" onto every result (§6).
 //! * [`commands`] — experiment-domain commands (`moongen`, `iperf`)
 //!   registered into the testbed's command registry.
+//! * [`measure`] — the process-wide worker pool that runs the packet
+//!   simulations behind `moongen`, so a campaign's control plane can run
+//!   ahead while earlier runs are still measuring.
 //! * [`requirements`] — the R1–R5 capability model behind Table 1.
 //! * [`hash`] — SHA-256, fingerprinting every artifact the store writes.
 //! * [`journal`] — the append-only campaign journal (write-ahead log)
@@ -44,6 +47,7 @@ pub mod fsck;
 pub mod hash;
 pub mod journal;
 pub mod loopvars;
+pub mod measure;
 pub mod requirements;
 pub mod resultstore;
 pub mod script;
@@ -53,7 +57,7 @@ pub mod vfs;
 
 pub use controller::{
     CampaignSetup, CancelToken, Controller, ControllerError, ExperimentOutcome, HostHealth,
-    Progress, ProgressCounters, ProgressSnapshot, RunOptions, RunRecord, RunStep,
+    PendingRun, Progress, ProgressCounters, ProgressSnapshot, RunOptions, RunRecord, RunStep,
 };
 pub use experiment::{ExperimentSpec, RoleSpec};
 pub use loopvars::{expand_cross_product, RunParams};

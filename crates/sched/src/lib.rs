@@ -36,5 +36,8 @@ pub use plan::{plan_lanes, site_host_sets, LaneAllocation, LaneFlavor, ScatterLe
 pub use queue::{
     CompletedSubmission, CompletionOutcome, QueueError, QueueStatus, Submission, SubmissionQueue,
 };
-pub use scheduler::{resume_parallel, run_parallel, ParallelOptions, ParallelOutcome};
+pub use scheduler::{
+    resume_parallel, resume_parallel_observed, run_parallel, run_parallel_observed,
+    ParallelOptions, ParallelOutcome,
+};
 pub use supervisor::{LaneDeath, LaneFaultPlan, LaneRecovery, SupervisorOptions};

@@ -53,7 +53,7 @@
 use crate::plan::{plan_lanes, site_host_sets, LaneFlavor};
 use crate::supervisor::{FailoverState, LaneSupervisor, SupervisorOptions, VerifiedRun};
 use pos_core::controller::{
-    CampaignSetup, Controller, ControllerError, ExperimentOutcome, RunOptions,
+    CampaignSetup, Controller, ControllerError, ExperimentOutcome, Progress, RunOptions,
 };
 use pos_core::experiment::ExperimentSpec;
 use pos_core::journal::{
@@ -176,6 +176,19 @@ pub fn run_parallel(
     popts: &ParallelOptions,
     make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
 ) -> Result<ParallelOutcome, ControllerError> {
+    run_parallel_observed(spec, opts, popts, make_lane, &mut |_| {})
+}
+
+/// [`run_parallel`], reporting every run to `on_run` as a
+/// [`Progress::RunDone`] the moment it lands in the outcome: once per
+/// run, in run order, quarantined runs included.
+pub fn run_parallel_observed(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    popts: &ParallelOptions,
+    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
+    on_run: &mut dyn FnMut(&Progress),
+) -> Result<ParallelOutcome, ControllerError> {
     assert!(popts.lanes >= 1, "a campaign needs at least one lane");
 
     // Acquire disjoint allocations on the site calendar: an atomic batch
@@ -257,6 +270,7 @@ pub fn run_parallel(
         site,
         alloc.reservations,
         FailoverState::default(),
+        on_run,
     );
     let result = dispatch_and_merge(
         &store,
@@ -288,6 +302,18 @@ pub fn resume_parallel(
     spec: &ExperimentSpec,
     opts: &RunOptions,
     make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
+) -> Result<ParallelOutcome, ControllerError> {
+    resume_parallel_observed(result_dir, spec, opts, make_lane, &mut |_| {})
+}
+
+/// [`resume_parallel`], reporting every run — verified-skipped ones
+/// included — to `on_run` as in [`run_parallel_observed`].
+pub fn resume_parallel_observed(
+    result_dir: &Path,
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
+    on_run: &mut dyn FnMut(&Progress),
 ) -> Result<ParallelOutcome, ControllerError> {
     let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
     let sched_path = store.dir().join(JOURNAL_FILE);
@@ -515,6 +541,7 @@ pub fn resume_parallel(
         site,
         site_reservations,
         fstate,
+        on_run,
     );
     let result = dispatch_and_merge(
         &store,

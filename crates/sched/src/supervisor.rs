@@ -60,7 +60,8 @@
 
 use crate::plan::{site_host_sets, LaneFlavor};
 use pos_core::controller::{
-    CampaignSetup, Controller, ControllerError, HostHealth, RunOptions, RunRecord,
+    CampaignSetup, Controller, ControllerError, HostHealth, PendingRun, Progress, RunOptions,
+    RunRecord,
 };
 use pos_core::experiment::ExperimentSpec;
 use pos_core::journal::{
@@ -71,7 +72,7 @@ use pos_core::resultstore::{run_metadata, ResultStore};
 use pos_simkernel::{lane_retry_rng, lane_stream_label, Backoff, LaneSet, SimDuration, SimTime};
 use pos_testbed::{Calendar, ReservationId, Testbed};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What to do with a retired lane's share of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,6 +188,21 @@ pub(crate) struct DispatchStats {
     pub finished: SimTime,
 }
 
+impl DispatchStats {
+    fn empty() -> DispatchStats {
+        DispatchStats {
+            records: Vec::new(),
+            failed_runs: Vec::new(),
+            quarantined_hosts: Vec::new(),
+            quarantined_runs: Vec::new(),
+            recoveries: 0,
+            recovery_time: SimDuration::ZERO,
+            lane_runs: Vec::new(),
+            finished: SimTime::ZERO,
+        }
+    }
+}
+
 /// Drives the dispatch loop of a parallel campaign under lane failure.
 ///
 /// Owns the lane controllers, per-lane journals, and the site calendar
@@ -231,6 +247,13 @@ pub(crate) struct LaneSupervisor<'a> {
     pub ladder_retries: u32,
     /// First completed run's duration: the watchdog's budget unit.
     estimate: Option<SimDuration>,
+    /// Runs whose control plane ran ahead of their commit, oldest first,
+    /// with the lane that executed them.
+    window: VecDeque<(usize, PendingRun)>,
+    /// The committed runs so far, in run order.
+    landed: DispatchStats,
+    /// Told about every run as it lands, in run order.
+    on_run: &'a mut dyn FnMut(&Progress),
 }
 
 impl<'a> LaneSupervisor<'a> {
@@ -249,6 +272,7 @@ impl<'a> LaneSupervisor<'a> {
         site: Calendar,
         site_reservations: Vec<ReservationId>,
         prior: FailoverState,
+        on_run: &'a mut dyn FnMut(&Progress),
     ) -> LaneSupervisor<'a> {
         let laneset = LaneSet::new(lanes.iter().map(|c| c.testbed().now()).collect());
         let dispatched = vec![0; lanes.len()];
@@ -278,6 +302,9 @@ impl<'a> LaneSupervisor<'a> {
             failover_time: SimDuration::ZERO,
             ladder_retries: 0,
             estimate: None,
+            window: VecDeque::new(),
+            landed: DispatchStats::empty(),
+            on_run,
         };
         // Journaled retirements replay before any dispatching: a dead
         // lane stays dead across a resume. An injected death whose lane
@@ -314,6 +341,12 @@ impl<'a> LaneSupervisor<'a> {
     /// The supervised dispatch loop: every run in cross-product order,
     /// each to the earliest-free live lane, with retirement, retry
     /// ladders, quarantine, and replacement replanning along the way.
+    ///
+    /// Lane control planes run up to [`pos_core::measure::parallelism`]
+    /// runs ahead of the commits, so their packet simulations overlap;
+    /// runs commit strictly in run order, and every failover record is
+    /// preceded by committing whatever is in flight, so the sequence of
+    /// durable writes is the unpipelined one.
     pub fn dispatch(
         &mut self,
         store: &ResultStore,
@@ -323,13 +356,8 @@ impl<'a> LaneSupervisor<'a> {
         make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
     ) -> Result<DispatchStats, ControllerError> {
         let mut cursor = self.lanes[0].testbed().now();
-        let mut records: Vec<RunRecord> = Vec::with_capacity(self.total);
-        let mut failed_runs: Vec<usize> = Vec::new();
-        let mut quarantined_hosts: Vec<String> = Vec::new();
-        let mut quarantined_runs: Vec<usize> = Vec::new();
-        let mut total_recoveries = 0u32;
-        let mut total_recovery_time = SimDuration::ZERO;
         let poison: BTreeSet<usize> = self.sopts.fault_plan.poison_runs.iter().copied().collect();
+        let depth = pos_core::measure::parallelism();
 
         for run in runs {
             if let Some(done) = verified.get(&run.index) {
@@ -337,7 +365,8 @@ impl<'a> LaneSupervisor<'a> {
                 // canonical interval to the lane it deterministically
                 // lands on and move the cursor — exactly the bookkeeping
                 // executing it would have done, retirement decisions
-                // included.
+                // included. It lands at once, after what is in flight.
+                self.drain(store)?;
                 let lane = self.select_lane(store, sched_journal, cursor, make_lane)?;
                 let fin = SimTime::from_nanos(done.finished_ns);
                 let dur = fin - SimTime::from_nanos(done.started_ns);
@@ -345,32 +374,35 @@ impl<'a> LaneSupervisor<'a> {
                 self.dispatched[lane] += 1;
                 cursor = fin;
                 self.lane_run(lane, run.index);
-                total_recoveries += done.recoveries;
-                total_recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
+                self.landed.recoveries += done.recoveries;
+                self.landed.recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
                 if !done.success {
-                    failed_runs.push(run.index);
+                    self.landed.failed_runs.push(run.index);
                     if self.kills.get(&run.index).copied().unwrap_or(0)
                         >= self.sopts.poison_threshold
                     {
-                        quarantined_runs.push(run.index);
+                        self.landed.quarantined_runs.push(run.index);
                     }
                 }
-                self.watchdog(sched_journal, lane, run.index, dur, cursor)?;
+                self.watchdog(store, sched_journal, lane, run.index, dur, cursor)?;
                 let run_dir = store.run_dir(run.index)?;
                 let outputs = Controller::reload_run_outputs(self.spec, &run_dir)?;
-                records.push(RunRecord {
-                    params: run.clone(),
-                    outputs,
-                    attempts: done.attempts,
-                    success: done.success,
-                    recoveries: done.recoveries,
-                    fault_trace: done.fault_trace.clone(),
-                });
+                self.land(
+                    store,
+                    RunRecord {
+                        params: run.clone(),
+                        outputs,
+                        attempts: done.attempts,
+                        success: done.success,
+                        recoveries: done.recoveries,
+                        fault_trace: done.fault_trace.clone(),
+                    },
+                )?;
                 continue;
             }
 
             // Live dispatch, possibly across several lane deaths.
-            let record = loop {
+            loop {
                 let lane = self.select_lane(store, sched_journal, cursor, make_lane)?;
 
                 if poison.contains(&run.index) {
@@ -381,7 +413,8 @@ impl<'a> LaneSupervisor<'a> {
                     if self.kills.get(&run.index).copied().unwrap_or(0)
                         >= self.sopts.poison_threshold
                     {
-                        break self.quarantine(store, sched_journal, run, cursor)?;
+                        self.quarantine(store, sched_journal, run, cursor)?;
+                        break;
                     }
                     let kills = {
                         let k = self.kills.entry(run.index).or_insert(0);
@@ -389,6 +422,7 @@ impl<'a> LaneSupervisor<'a> {
                         *k
                     };
                     self.retire_lane(
+                        store,
                         sched_journal,
                         lane,
                         format!("poison run {:04} wedged the lane", run.index),
@@ -397,7 +431,8 @@ impl<'a> LaneSupervisor<'a> {
                     )?;
                     self.maybe_replan(store, sched_journal, cursor, make_lane)?;
                     if kills >= self.sopts.poison_threshold {
-                        break self.quarantine(store, sched_journal, run, cursor)?;
+                        self.quarantine(store, sched_journal, run, cursor)?;
+                        break;
                     }
                     // Retry ladder: charge a deterministic backoff to the
                     // next victim's occupancy clock before it attempts
@@ -412,6 +447,7 @@ impl<'a> LaneSupervisor<'a> {
                     self.laneset.occupy(to, delay);
                     self.failover_time += delay;
                     self.ladder_retries += 1;
+                    self.drain(store)?;
                     sched_journal.append(&JournalRecord::RunRetry {
                         index: run.index,
                         attempt,
@@ -422,30 +458,26 @@ impl<'a> LaneSupervisor<'a> {
                     continue;
                 }
 
+                while self.window.len() >= depth {
+                    self.commit_oldest(store)?;
+                }
                 // Pin the lane's clock to the run's canonical start:
                 // artifacts derive from (seed, start instant), so this
                 // makes every byte match the sequential timeline
                 // regardless of lane count or failover history.
                 let controller = &mut self.lanes[lane];
                 controller.testbed_mut().set_now(cursor);
-                let step = controller.execute_one_run(
-                    self.spec,
-                    self.opts,
-                    store,
-                    &mut self.lane_journals[lane],
-                    run,
-                    self.total,
-                )?;
-                let dur = step.finished - step.started;
+                let pending = controller.run_control_plane(self.spec, self.opts, run);
+                let dur = pending.finished() - pending.started();
+                let aborts = pending.aborts(self.opts);
                 self.laneset.occupy(lane, dur);
                 self.dispatched[lane] += 1;
-                cursor = step.finished;
+                cursor = pending.finished();
                 self.lane_run(lane, run.index);
-                total_recoveries += step.recoveries;
-                total_recovery_time += step.recovery_time;
-                quarantined_hosts.extend(step.quarantined);
-                if !step.record.success {
-                    failed_runs.push(run.index);
+                self.window.push_back((lane, pending));
+                if aborts {
+                    // The run's commit ends the campaign with its error.
+                    self.drain(store)?;
                 }
                 // A lane whose every experiment host is quarantined can
                 // never produce another healthy run: retire it now
@@ -457,6 +489,7 @@ impl<'a> LaneSupervisor<'a> {
                     .all(|h| self.lanes[lane].host_health(h) == HostHealth::Quarantined);
                 if all_quarantined && !self.laneset.is_retired(lane) {
                     self.retire_lane(
+                        store,
                         sched_journal,
                         lane,
                         "every experiment host quarantined".to_string(),
@@ -465,26 +498,60 @@ impl<'a> LaneSupervisor<'a> {
                     )?;
                     self.maybe_replan(store, sched_journal, cursor, make_lane)?;
                 }
-                self.watchdog(sched_journal, lane, run.index, dur, cursor)?;
-                break step.record;
-            };
-            if record.attempts == 0 && !record.success && poison.contains(&run.index) {
-                failed_runs.push(run.index);
-                quarantined_runs.push(run.index);
+                self.watchdog(store, sched_journal, lane, run.index, dur, cursor)?;
+                break;
             }
-            records.push(record);
         }
+        self.drain(store)?;
 
-        Ok(DispatchStats {
-            records,
-            failed_runs,
-            quarantined_hosts,
-            quarantined_runs,
-            recoveries: total_recoveries,
-            recovery_time: total_recovery_time,
-            lane_runs: self.collect_lane_runs(),
-            finished: cursor,
-        })
+        let mut stats = std::mem::replace(&mut self.landed, DispatchStats::empty());
+        stats.lane_runs = self.collect_lane_runs();
+        stats.finished = cursor;
+        Ok(stats)
+    }
+
+    // ------------------------------------------------------------------
+    // The commit window
+
+    /// Commits the oldest run in flight on the lane that executed it.
+    fn commit_oldest(&mut self, store: &ResultStore) -> Result<(), ControllerError> {
+        let (lane, pending) = self.window.pop_front().expect("window is not empty");
+        let step = self.lanes[lane].commit_run(
+            pending,
+            self.spec,
+            self.opts,
+            store,
+            &mut self.lane_journals[lane],
+            self.total,
+        )?;
+        self.landed.recoveries += step.recoveries;
+        self.landed.recovery_time += step.recovery_time;
+        self.landed.quarantined_hosts.extend(step.quarantined);
+        if !step.record.success {
+            self.landed.failed_runs.push(step.record.params.index);
+        }
+        self.land(store, step.record)
+    }
+
+    /// Commits every run in flight, oldest first. Called before any
+    /// failover record is written and before a run lands out of band.
+    fn drain(&mut self, store: &ResultStore) -> Result<(), ControllerError> {
+        while !self.window.is_empty() {
+            self.commit_oldest(store)?;
+        }
+        Ok(())
+    }
+
+    /// Appends a run's record to the outcome and reports it.
+    fn land(&mut self, store: &ResultStore, record: RunRecord) -> Result<(), ControllerError> {
+        (self.on_run)(&Progress::RunDone {
+            index: record.params.index,
+            total: self.total,
+            success: record.success,
+            dir: store.run_dir(record.params.index)?,
+        });
+        self.landed.records.push(record);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -510,6 +577,7 @@ impl<'a> LaneSupervisor<'a> {
             if let Some(j) = self.boundary_death_due(lane) {
                 self.fired[j] = true;
                 self.retire_lane(
+                    store,
                     sched_journal,
                     lane,
                     "injected lane fault at run boundary".to_string(),
@@ -540,12 +608,14 @@ impl<'a> LaneSupervisor<'a> {
     /// Retires `lane` with a journaled `LaneRetired` record.
     fn retire_lane(
         &mut self,
+        store: &ResultStore,
         sched_journal: &mut Journal,
         lane: usize,
         reason: String,
         run: Option<usize>,
         cursor: SimTime,
     ) -> Result<(), ControllerError> {
+        self.drain(store)?;
         self.laneset.retire(lane);
         sched_journal.append(&JournalRecord::LaneRetired {
             lane,
@@ -563,6 +633,7 @@ impl<'a> LaneSupervisor<'a> {
     /// the estimate.
     fn watchdog(
         &mut self,
+        store: &ResultStore,
         sched_journal: &mut Journal,
         lane: usize,
         run_index: usize,
@@ -575,6 +646,7 @@ impl<'a> LaneSupervisor<'a> {
                 let budget = est.as_nanos() as f64 * self.sopts.grace_factor;
                 if duration.as_nanos() as f64 > budget && !self.laneset.is_retired(lane) {
                     self.retire_lane(
+                        store,
                         sched_journal,
                         lane,
                         format!(
@@ -625,6 +697,7 @@ impl<'a> LaneSupervisor<'a> {
         cursor: SimTime,
         make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
     ) -> Result<(), ControllerError> {
+        self.drain(store)?;
         let k = self.lanes.len();
         let mut flavor = LaneFlavor::Virtual;
         if k < self.site_replicas {
@@ -698,7 +771,8 @@ impl<'a> LaneSupervisor<'a> {
         sched_journal: &mut Journal,
         run: &RunParams,
         cursor: SimTime,
-    ) -> Result<RunRecord, ControllerError> {
+    ) -> Result<(), ControllerError> {
+        self.drain(store)?;
         let kills = self.kills.get(&run.index).copied().unwrap_or(0);
         store.wipe_run(run.index)?;
         let hosts_map: BTreeMap<String, String> = self
@@ -733,14 +807,19 @@ impl<'a> LaneSupervisor<'a> {
             fault_trace: fault_trace.clone(),
         })?;
 
-        Ok(RunRecord {
-            params: run.clone(),
-            outputs: BTreeMap::new(),
-            attempts: 0,
-            success: false,
-            recoveries: 0,
-            fault_trace,
-        })
+        self.landed.failed_runs.push(run.index);
+        self.landed.quarantined_runs.push(run.index);
+        self.land(
+            store,
+            RunRecord {
+                params: run.clone(),
+                outputs: BTreeMap::new(),
+                attempts: 0,
+                success: false,
+                recoveries: 0,
+                fault_trace,
+            },
+        )
     }
 
     /// Writes `quarantine/run-NNNN/`: a deterministic `report.json`

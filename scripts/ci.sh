@@ -26,12 +26,23 @@ cargo build --release --workspace
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
+# Golden digests: the result trees and journals of reference campaigns
+# (sequential pos/vpos, two lanes, chaos, and the commit-window ordering
+# scenarios) must match bytes recorded before the drivers were
+# pipelined. Run-twice identity alone cannot see a byte that moved.
+echo "==> golden trees (tests/golden_trees.rs + tests/commit_window.rs)"
+cargo test -q --test golden_trees
+cargo test -q --test commit_window
+
 # The crash matrix is the durability contract: kill the controller at every
 # journal record boundary (cleanly and with torn tails), resume, and demand a
 # byte-identical result tree. It runs as part of the workspace suite above;
 # repeating it by name here keeps the gate loud if someone filters tests.
-echo "==> crash matrix (tests/crash_matrix.rs)"
-cargo test -q --test crash_matrix
+# Its tests build their trees concurrently under the default parallel
+# harness; five passes make a reintroduced shared-directory race loud
+# (the same holds for the disk-fault and DAG matrices below).
+echo "==> crash matrix (tests/crash_matrix.rs, 5x)"
+for _ in 1 2 3 4 5; do cargo test -q --test crash_matrix; done
 
 # The failover half of that contract: kill the scheduler at every append in
 # the failover record window (LaneRetired / RunRetry / RunQuarantined),
@@ -42,15 +53,15 @@ cargo test -q --test parallel_determinism interrupted_failover_strands_run_and_f
 
 # The storage half: ENOSPC / torn writes / fsync failures at every journal
 # boundary plus bit-flip rot, recovered to byte-identity via resume + scrub.
-echo "==> disk-fault matrix (tests/disk_fault_matrix.rs)"
-cargo test -q --test disk_fault_matrix
+echo "==> disk-fault matrix (tests/disk_fault_matrix.rs, 5x)"
+for _ in 1 2 3 4 5; do cargo test -q --test disk_fault_matrix; done
 
 # The DAG half: the linux-router DAG executed at several lane counts and on
 # both execution targets must leave byte-identical trees; a kill at every
 # DAG-journal record boundary (clean + torn) followed by `resume_dag` must
 # converge to that same tree with `fsck_dag` calling it clean.
-echo "==> DAG crash matrix (tests/dag_determinism.rs)"
-cargo test -q --test dag_determinism
+echo "==> DAG crash matrix (tests/dag_determinism.rs, 5x)"
+for _ in 1 2 3 4 5; do cargo test -q --test dag_determinism; done
 
 # The daemon half: kill `pos serve` at every queue-ledger append boundary
 # (and at campaign-journal boundaries) during a multi-user submission storm,

@@ -41,8 +41,8 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    resume_parallel, run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery,
-    ParallelOptions, ParallelOutcome, SubmissionQueue,
+    resume_parallel_observed, run_parallel_observed, CompletionOutcome, LaneFaultPlan, LaneFlavor,
+    LaneRecovery, ParallelOptions, ParallelOutcome, SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
@@ -68,8 +68,35 @@ enum Completion {
 /// Exit code for a degraded-but-complete campaign.
 const EXIT_DEGRADED: u8 = 3;
 
+/// Puts SIGPIPE back to its default action (terminate), undoing the Rust
+/// runtime's "ignore": without it a closed stdout turns every `println!`
+/// into an EPIPE panic. `libc` is not vendored, so `signal(2)` is
+/// declared by hand, as in `pos_serve::signal`.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal(2)` with a valid signal number and `SIG_DFL` (the
+    // null handler) installs no code of ours; it is called once, before
+    // any other thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe() {}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `pos run ... | head` must end quietly when the reader goes away.
+    // The daemon and its client talk HTTP and need EPIPE as an error.
+    if !matches!(args.first().map(String::as_str), Some("serve" | "queue")) {
+        restore_default_sigpipe();
+    }
     let result = match args.first().map(String::as_str) {
         Some("init") => cmd_init(&args[1..]).map(|()| Completion::Clean),
         Some("run") => cmd_run(&args[1..]),
@@ -298,9 +325,13 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
             site_replicas,
             supervisor,
         };
-        let out = match run_parallel(&spec, &run_opts, &popts, &mut |_, flavor| {
-            case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
-        }) {
+        let out = match run_parallel_observed(
+            &spec,
+            &run_opts,
+            &popts,
+            &mut |_, flavor| case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true),
+            &mut print_progress,
+        ) {
             Ok(out) => out,
             Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
         };
@@ -394,18 +425,9 @@ fn completion_of(outcome: &ExperimentOutcome) -> Completion {
     }
 }
 
-/// The parallel variant of [`print_outcome`]: per-run lines come from the
-/// merged records (the lanes have no live progress callback), followed by
-/// the lane and speedup summary.
+/// The parallel variant of [`print_outcome`]: the lane and speedup
+/// summary (the per-run lines were printed live as each run landed).
 fn print_parallel_outcome(out: &ParallelOutcome) {
-    for r in &out.outcome.runs {
-        println!(
-            "  run {}/{} {}",
-            r.params.index + 1,
-            out.outcome.runs.len(),
-            if r.success { "ok" } else { "FAILED" }
-        );
-    }
     println!(
         "lanes: {} [{}], runs per lane {:?}",
         out.lanes,
@@ -567,9 +589,13 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
         let mut run_opts = RunOptions::new(result_dir);
         run_opts.testbed_flavor = testbed.clone();
         run_opts.vfs = vfs;
-        let out = match resume_parallel(result_dir, &spec, &run_opts, &mut |_, flavor| {
-            case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
-        }) {
+        let out = match resume_parallel_observed(
+            result_dir,
+            &spec,
+            &run_opts,
+            &mut |_, flavor| case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true),
+            &mut print_progress,
+        ) {
             Ok(out) => out,
             Err(e) => return checkpointed_or_error(e, dir),
         };

@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn pos_bin() -> &'static str {
     env!("CARGO_BIN_EXE_pos")
@@ -22,7 +23,14 @@ fn run(dir: &Path, args: &[&str]) -> (bool, String, String) {
 }
 
 fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-cli-{name}-{}", std::process::id()));
+    // Tests run in parallel threads of one process: the pid alone would
+    // hand two tests the same directory, so every call gets its own.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pos-cli-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -260,6 +268,41 @@ fn init_small_exp(dir: &Path) {
     .unwrap();
 }
 
+#[test]
+fn cli_run_into_a_closed_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let dir = workdir("pipe");
+    init_small_exp(&dir);
+    // `pos run exp | head -1`: the reader takes one line and goes away
+    // while the campaign is still printing.
+    let mut child = Command::new(pos_bin())
+        .args(["run", "exp", "--results", "res"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pos binary");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("running `"), "{first}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    child.wait().unwrap();
+    assert!(
+        !stderr.contains("panicked"),
+        "pos panicked on EPIPE: {stderr}"
+    );
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
 fn result_dir_of(stdout: &str) -> String {
     stdout
         .lines()
@@ -294,6 +337,19 @@ fn cli_parallel_lanes_match_sequential_and_fsck_audits_lane_journals() {
     assert!(ok, "parallel run failed: {stderr}");
     assert!(stdout.contains("lanes: 2 [pos,pos]"), "{stdout}");
     assert!(stdout.contains("speedup"), "{stdout}");
+    // Each run's line once, in run order, printed as it lands — before
+    // the lane summary, exactly as the sequential driver prints them.
+    let run_lines = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.starts_with("  run "))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(run_lines(&stdout), ["  run 1/2 ok", "  run 2/2 ok"]);
+    assert!(
+        stdout.find("  run 2/2 ok") < stdout.find("lanes: 2"),
+        "{stdout}"
+    );
     let par_dir = result_dir_of(&stdout);
 
     // The parallel tree is byte-identical to the sequential one, journals

@@ -7,9 +7,17 @@ use pos::core::experiment::linux_router_experiment;
 use pos::publish::bundle::Bundle;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-det-{name}-{}", std::process::id()));
+    // Tests run in parallel threads of one process: the pid alone would
+    // hand two tests the same directory, so every call gets its own.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pos-det-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -22,11 +22,19 @@ use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0xD15C;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-diskfault-{name}-{}", std::process::id()));
+    // Tests run in parallel threads of one process: the pid alone would
+    // hand two tests the same directory, so every call gets its own.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pos-diskfault-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

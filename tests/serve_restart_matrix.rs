@@ -23,11 +23,18 @@ use pos::serve::{
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-serve-{name}-{}", std::process::id()));
+    // Tests run in parallel threads of one process: the pid alone would
+    // hand two tests the same directory, so every call gets its own.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pos-serve-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
