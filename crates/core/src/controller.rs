@@ -19,7 +19,10 @@
 //! observable effect. The packet simulations a control plane starts run
 //! on the [`crate::measure`] pool, so a campaign runs the next runs'
 //! control planes while earlier runs measure, and commits strictly in
-//! run order — the journal and tree bytes are the unpipelined ones.
+//! run order — the journal and tree bytes are the unpipelined ones. The
+//! campaign loop itself is [`crate::campaign`]'s lane driver, with this
+//! controller as lane 0: [`Controller::run_experiment`] is its one-lane
+//! call.
 //!
 //! Recovery (R3): a host that stops answering in-band is re-initialized
 //! out of band (reset, or power-cycle for plugs), its live image rebooted,
@@ -37,8 +40,10 @@
 //! ([`pos_netsim::ChaosPlan`]) exercise all of this deterministically via
 //! [`Controller::apply_chaos`].
 
+use crate::campaign::supervisor::VerifiedRun;
+use crate::campaign::{LaneFlavor, ParallelOptions};
 use crate::experiment::{ExperimentSpec, SpecError};
-use crate::journal::{Journal, JournalError, JournalRecord, JOURNAL_FILE};
+use crate::journal::{Journal, JournalError, JournalRecord};
 use crate::loopvars::{cross_product_size, expand_cross_product, RunParams};
 use crate::measure::Measurement;
 use crate::resultstore::{run_metadata, ResultStore};
@@ -48,7 +53,7 @@ use crate::vfs::Vfs;
 use pos_netsim::{ChaosEvent, ChaosPlan};
 use pos_simkernel::{Backoff, SimDuration, SimTime, TraceLevel};
 use pos_testbed::{CommandResult, ExecError, PowerError, Testbed};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -611,8 +616,8 @@ impl From<std::io::Error> for ControllerError {
 }
 
 /// The controller's handle on its testbed: borrowed in the classic
-/// embedded form ([`Controller::new`]), owned when a scheduler gives each
-/// worker lane its own long-lived replica ([`Controller::owning`]).
+/// embedded form ([`Controller::new`]), owned when the campaign driver
+/// gives a worker lane its own long-lived replica ([`Controller::owning`]).
 enum TbRef<'t> {
     Borrowed(&'t mut Testbed),
     Owned(Box<Testbed>),
@@ -662,9 +667,10 @@ impl<'t> Controller<'t> {
     }
 
     /// Creates a controller that *owns* its testbed — the worker-lane
-    /// form. A parallel scheduler keeps one owning controller per lane so
-    /// lane-local state (virtual clock, host health, trace, management
-    /// RNG position) persists across the runs dispatched to that lane.
+    /// form. The campaign driver keeps one owning controller per replica
+    /// lane so lane-local state (virtual clock, host health, trace,
+    /// management RNG position) persists across the runs dispatched to
+    /// that lane.
     pub fn owning(tb: Testbed) -> Controller<'static> {
         Controller {
             tb: TbRef::Owned(Box::new(tb)),
@@ -679,9 +685,9 @@ impl<'t> Controller<'t> {
         &self.tb
     }
 
-    /// The underlying testbed, mutably. Schedulers use this to pin a
-    /// lane's virtual clock to a run's canonical start instant before
-    /// dispatching the run (see `pos-sched`).
+    /// The underlying testbed, mutably. The campaign driver uses this to
+    /// pin a lane's virtual clock to a run's canonical start instant
+    /// before dispatching the run (see [`crate::campaign`]).
     pub fn testbed_mut(&mut self) -> &mut Testbed {
         &mut self.tb
     }
@@ -692,7 +698,7 @@ impl<'t> Controller<'t> {
         self
     }
 
-    fn emit(&mut self, p: Progress) {
+    pub(crate) fn emit(&mut self, p: Progress) {
         if let Some(effects) = self.buffered.as_mut() {
             effects.push(Effect::Progress(p));
         } else if let Some(cb) = self.progress.as_mut() {
@@ -1010,9 +1016,11 @@ impl<'t> Controller<'t> {
         Ok(aggregated)
     }
 
-    /// Validates the spec, folds repetitions into a synthetic loop
-    /// variable, checks hosts exist, and expands the cross product.
-    fn prepare(
+    /// Validates `spec` against this controller's testbed, folds
+    /// repetitions into a synthetic loop variable, checks hosts exist,
+    /// and expands the cross product — the read-only front half of a
+    /// campaign.
+    pub fn prepare_campaign(
         &self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
@@ -1047,66 +1055,31 @@ impl<'t> Controller<'t> {
         Ok((spec, runs))
     }
 
-    /// Validates `spec` against this controller's testbed, folds
-    /// repetitions into a synthetic loop variable, and expands the cross
-    /// product — the read-only front half of [`Self::run_experiment`],
-    /// exposed for schedulers that shard the run list across lanes.
-    pub fn prepare_campaign(
-        &self,
-        spec: &ExperimentSpec,
-        opts: &RunOptions,
-    ) -> Result<(ExperimentSpec, Vec<RunParams>), ControllerError> {
-        self.prepare(spec, opts)
-    }
-
     /// Runs a complete experiment: setup phase, all measurement runs, and
     /// result capture. The result tree is left on disk for the evaluation
     /// and publication phases.
     ///
-    /// Every lifecycle transition is journaled write-ahead into the
-    /// result tree's `journal.log`; an interrupted campaign can be picked
-    /// up with [`Self::resume_experiment`].
+    /// This is the one-lane campaign of [`crate::campaign::run_campaign`]
+    /// with this controller as lane 0. Every lifecycle transition is
+    /// journaled write-ahead into the result tree's `journal.log`; an
+    /// interrupted campaign can be picked up with
+    /// [`Self::resume_experiment`].
     pub fn run_experiment(
         &mut self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
     ) -> Result<ExperimentOutcome, ControllerError> {
-        let (spec, runs) = self.prepare(spec, opts)?;
-        // Every in-band command from here on runs under the watchdog.
-        self.tb.set_command_timeout(opts.command_timeout);
-        let started = self.tb.now();
-        let store = ResultStore::create(&opts.result_root, &spec.user, &spec.name, started)?
-            .with_vfs(opts.vfs.clone());
-        let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
-        journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-        journal.append(&JournalRecord::CampaignStarted {
-            seed: self.tb.seed(),
-            spec_digest: spec.digest(),
-            total_runs: runs.len(),
-            testbed: opts.testbed_flavor.clone(),
-            started_ns: started.as_nanos(),
-        })?;
-        self.execute_campaign(&spec, opts, store, journal, runs, ResumeState::default())
+        crate::campaign::run_campaign(self, spec, opts, &ParallelOptions::new(1), &mut no_replica)
+            .map(|out| out.outcome)
     }
 
-    /// Resumes an interrupted campaign from its result tree.
-    ///
-    /// The journal is replayed (a torn tail from a crash mid-append is
-    /// tolerated; corruption is not), the campaign's identity is checked
-    /// — same testbed flavor and seed, same spec digest, same
-    /// cross-product size —
-    /// and every journaled-complete run is verified on disk against its
-    /// recorded digest. Verified runs are skipped; everything else
-    /// (incomplete runs, runs whose artifacts fail verification) is wiped
-    /// and re-executed.
-    ///
-    /// Determinism contract: resuming on a fresh testbed with the
-    /// original seed replays the setup phase identically, fast-forwards
-    /// the virtual clock and the shared management RNG stream over each
-    /// skipped run (discarding chaos events the original session already
-    /// consumed), and therefore produces a result tree byte-identical to
-    /// an uninterrupted execution — `journal.log` excepted, since the
-    /// journal *is* the record of the interruption.
+    /// Resumes an interrupted campaign from its result tree: the
+    /// one-lane [`crate::campaign::resume_campaign`] with this controller
+    /// as lane 0 (see there for the checks and the determinism contract).
+    /// Verified runs are skipped; everything else is wiped and
+    /// re-executed, and the tree ends byte-identical to an uninterrupted
+    /// execution — `journal.log` excepted, since the journal *is* the
+    /// record of the interruption.
     ///
     /// `spec` should be the stored effective spec, e.g. loaded via
     /// [`ExperimentSpec::from_dir`] from `<result-dir>/experiment/`.
@@ -1116,148 +1089,8 @@ impl<'t> Controller<'t> {
         spec: &ExperimentSpec,
         opts: &RunOptions,
     ) -> Result<ExperimentOutcome, ControllerError> {
-        let (spec, runs) = self.prepare(spec, opts)?;
-        self.tb.set_command_timeout(opts.command_timeout);
-
-        let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
-        let journal_path = store.dir().join(JOURNAL_FILE);
-        let replay = Journal::replay(&journal_path).map_err(ControllerError::Journal)?;
-        let (seed, spec_digest, total_runs, testbed) = match replay.campaign_start() {
-            Some(JournalRecord::CampaignStarted {
-                seed,
-                spec_digest,
-                total_runs,
-                testbed,
-                ..
-            }) => (*seed, spec_digest.clone(), *total_runs, testbed.clone()),
-            _ => {
-                return Err(ControllerError::Resume {
-                    reason: "journal has no CampaignStarted record".into(),
-                })
-            }
-        };
-        if testbed != opts.testbed_flavor {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign ran on the `{testbed}` testbed, resume is using `{}`",
-                    opts.testbed_flavor
-                ),
-            });
-        }
-        if seed != self.tb.seed() {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign ran on testbed seed {seed:#x}, this testbed uses {:#x}",
-                    self.tb.seed()
-                ),
-            });
-        }
-        if spec_digest != spec.digest() {
-            return Err(ControllerError::Resume {
-                reason: "experiment spec changed since the campaign started \
-                         (digest mismatch)"
-                    .into(),
-            });
-        }
-        if total_runs != runs.len() {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign planned {total_runs} runs, spec now expands to {}",
-                    runs.len()
-                ),
-            });
-        }
-        if replay.torn_tail {
-            self.log_now(
-                TraceLevel::Debug,
-                "controller",
-                format!(
-                    "resume: journal has a torn tail ({} bytes), discarded",
-                    replay.torn_bytes
-                ),
-            );
-        }
-
-        // Last RunCompleted record wins per index (a run re-executed by an
-        // earlier resume appends a fresh record).
-        let mut last_completed: BTreeMap<usize, usize> = BTreeMap::new();
-        for (pos, rec) in replay.records.iter().enumerate() {
-            if let JournalRecord::RunCompleted { index, .. } = rec {
-                last_completed.insert(*index, pos);
-            }
-        }
-        let last_completed_pos = last_completed.values().copied().max();
-
-        let mut state = ResumeState::default();
-        for (&index, &pos) in &last_completed {
-            let JournalRecord::RunCompleted {
-                success,
-                attempts,
-                recoveries,
-                recovery_time_ns,
-                finished_ns,
-                rng_cursor,
-                digest,
-                fault_trace,
-                ..
-            } = &replay.records[pos]
-            else {
-                unreachable!("positions index RunCompleted records");
-            };
-            // Two-level verification: journaled digest → manifest bytes →
-            // per-file hashes. Anything off demotes the run to incomplete
-            // and it is re-executed from scratch.
-            let run_dir = store.dir().join(format!("run-{index:04}"));
-            let digest_ok = ResultStore::run_digest(&run_dir)
-                .map(|d| &d == digest)
-                .unwrap_or(false);
-            let files_ok = digest_ok
-                && ResultStore::verify_run(&run_dir)
-                    .map(|v| v.is_clean())
-                    .unwrap_or(false);
-            if files_ok {
-                state.completed.insert(
-                    index,
-                    CompletedRun {
-                        success: *success,
-                        attempts: *attempts,
-                        recoveries: *recoveries,
-                        recovery_time_ns: *recovery_time_ns,
-                        finished_ns: *finished_ns,
-                        rng_cursor: *rng_cursor,
-                        fault_trace: fault_trace.clone(),
-                    },
-                );
-            } else {
-                self.log_now(
-                    TraceLevel::Debug,
-                    "controller",
-                    format!("resume: run {index} failed verification, re-executing"),
-                );
-            }
-        }
-
-        // Quarantines recorded before the last durable run are part of
-        // history the skipped runs already depend on; later ones belong
-        // to the trailing incomplete run and are re-derived by
-        // re-executing it.
-        if let Some(limit) = last_completed_pos {
-            for rec in &replay.records[..limit] {
-                if let JournalRecord::HostQuarantined { host, .. } = rec {
-                    if !state.quarantined.contains(host) {
-                        state.quarantined.push(host.clone());
-                    }
-                }
-            }
-        }
-
-        let mut journal = Journal::open_append_with(&journal_path, opts.vfs.clone())?;
-        journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-        journal.append(&JournalRecord::CampaignResumed {
-            resumed_ns: self.tb.now().as_nanos(),
-            verified_runs: state.completed.len(),
-        })?;
-        self.execute_campaign(&spec, opts, store, journal, runs, state)
+        crate::campaign::resume_campaign(self, result_dir, spec, opts, &mut no_replica)
+            .map(|out| out.outcome)
     }
 
     /// The §4.4 setup phase alone: calendar allocation, publishable
@@ -1265,8 +1098,8 @@ impl<'t> Controller<'t> {
     /// capture, setup scripts in lockstep.
     ///
     /// With `store: None` the same virtual-time story plays out (boots,
-    /// deployments, hardware probes) but nothing is persisted — the form a
-    /// parallel scheduler uses for worker lanes beyond lane 0, whose
+    /// deployments, hardware probes) but nothing is persisted — the form
+    /// the campaign driver uses for worker lanes beyond lane 0, whose
     /// replica testbeds must follow the identical setup timeline while
     /// only the canonical lane writes the shared result tree.
     /// `planned_runs` is the campaign's total run count (it appears in the
@@ -1387,165 +1220,34 @@ impl<'t> Controller<'t> {
         })
     }
 
-    /// The shared campaign body: setup phase, measurement loop (skipping
-    /// resume-verified runs), wrap-up. `resume` is empty for a fresh run.
-    fn execute_campaign(
-        &mut self,
-        spec: &ExperimentSpec,
-        opts: &RunOptions,
-        store: ResultStore,
-        mut journal: Journal,
-        runs: Vec<RunParams>,
-        resume: ResumeState,
-    ) -> Result<ExperimentOutcome, ControllerError> {
-        // -------------------------------------------------- setup phase
-        let setup = self.setup_campaign(spec, opts, Some(&store), runs.len())?;
-        let CampaignSetup {
-            reservation,
-            started,
-        } = setup;
-
-        // -------------------------------------------- measurement phase
-        // The control plane runs up to `depth` runs ahead of the commits,
-        // so that many packet simulations overlap on the measurement pool;
-        // commits land strictly in run order.
-        let total = runs.len();
-        let depth = crate::measure::parallelism();
-        let mut tally = Tally::default();
-        let mut canceled = false;
-        // Commits the oldest runs until `keep` are left in flight. Each
-        // commit is a *cooperative checkpoint*: once the cancel token is
-        // tripped the campaign stops there, between durable runs, and the
-        // runs in flight are discarded; resume picks up at that run.
-        let mut commit_down_to = |ctl: &mut Self, tally: &mut Tally, keep: usize| {
-            while tally.in_flight.len() > keep {
-                let pending = tally.in_flight.pop_front().expect("runs in flight");
-                if opts.cancel.is_canceled() {
-                    return Err(ControllerError::Canceled {
-                        completed_runs: tally.records.len(),
-                    });
-                }
-                let step = ctl.commit_run(pending, spec, opts, &store, &mut journal, total)?;
-                tally.recoveries += step.recoveries;
-                tally.recovery_time += step.recovery_time;
-                tally.quarantined_hosts.extend(step.quarantined);
-                if !step.record.success {
-                    tally.failed_runs.push(step.record.params.index);
-                }
-                tally.records.push(step.record);
-            }
-            Ok::<(), ControllerError>(())
-        };
-        // Quarantines journaled before the last durable run are history
-        // the skipped runs executed under; restore them silently (no Info
-        // log — the uninterrupted session logged the transition at fault
-        // time, and resumed controller.log must stay byte-stable).
-        for host in &resume.quarantined {
+    /// Fast-forwards this controller past run `index`, which an earlier
+    /// session completed and resume verified: the virtual clock jumps to
+    /// the recorded run end, the shared management RNG stream seeks to
+    /// its recorded cursor, and the hosts the run quarantined are
+    /// quarantined again — the timeline continues exactly as if this
+    /// session had executed the run itself. Chaos events due inside the
+    /// skipped window: a journaled recovery means the original session
+    /// consumed them (host rebooted, setup re-run), so they are
+    /// discarded; with no recovery a crash in the window went
+    /// *undetected* — the host died mid-run with nothing touching it —
+    /// and the event is left scheduled, so it fires at the next executed
+    /// command exactly where the original session first observed it.
+    pub(crate) fn skip_verified_run(&mut self, index: usize, done: &VerifiedRun) {
+        self.tb.set_now(SimTime::from_nanos(done.finished_ns));
+        if done.recoveries > 0 {
+            self.tb.discard_due_faults();
+        }
+        self.tb.rng_seek(done.rng_cursor);
+        // Restored silently: the original session logged the transition
+        // at fault time, and controller.log must stay byte-stable.
+        for host in &done.quarantined {
             self.health.insert(host.clone(), HostHealth::Quarantined);
-            self.log_now(
-                TraceLevel::Debug,
-                "controller",
-                format!("resume: {host} restored as quarantined"),
-            );
-            tally.quarantined_hosts.push(host.clone());
         }
-        for run in &runs {
-            if let Some(done) = resume.completed.get(&run.index) {
-                // A skipped run lands in the outcome at once, so whatever
-                // is in flight commits first.
-                commit_down_to(self, &mut tally, 0)?;
-                // Verified complete by an earlier session: fast-forward
-                // the virtual clock to the recorded run end and seek the
-                // shared management RNG stream to its recorded cursor —
-                // the timeline continues exactly as if this session had
-                // executed the run itself. Chaos events due inside the
-                // skipped window: a journaled recovery means the original
-                // session consumed them (host rebooted, setup re-run), so
-                // they are discarded; with no recovery a crash in the
-                // window went *undetected* — the host died mid-run with
-                // nothing touching it — and the event is left scheduled,
-                // so it fires at the next executed command exactly where
-                // the original session first observed it.
-                self.tb.set_now(SimTime::from_nanos(done.finished_ns));
-                if done.recoveries > 0 {
-                    self.tb.discard_due_faults();
-                }
-                self.tb.rng_seek(done.rng_cursor);
-                self.log_now(
-                    TraceLevel::Debug,
-                    "controller",
-                    format!("resume: run {} verified, skipped", run.index),
-                );
-                tally.recoveries += done.recoveries;
-                tally.recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
-                if !done.success {
-                    tally.failed_runs.push(run.index);
-                }
-                let run_dir = store.run_dir(run.index)?;
-                let outputs = Self::reload_run_outputs(spec, &run_dir)?;
-                self.emit(Progress::RunSkipped {
-                    index: run.index,
-                    total,
-                });
-                tally.records.push(RunRecord {
-                    params: run.clone(),
-                    outputs,
-                    attempts: done.attempts,
-                    success: done.success,
-                    recoveries: done.recoveries,
-                    fault_trace: done.fault_trace.clone(),
-                });
-                continue;
-            }
-            if opts.cancel.is_canceled() {
-                canceled = true;
-                break;
-            }
-            commit_down_to(self, &mut tally, depth - 1)?;
-            let pending = self.run_control_plane(spec, opts, run);
-            // Nothing may run past an aborting run: its commit renders
-            // controller.log from the trace as it stands.
-            let aborts = pending.aborts(opts);
-            tally.in_flight.push_back(pending);
-            if aborts {
-                break;
-            }
-        }
-        commit_down_to(self, &mut tally, 0)?;
-        if canceled {
-            return Err(ControllerError::Canceled {
-                completed_runs: tally.records.len(),
-            });
-        }
-
-        // ------------------------------------------------------ wrap-up
-        // controller.log is rendered Info-and-above: the deterministic
-        // campaign story. (Debug chatter would differ between a resumed
-        // and an uninterrupted session, breaking byte-identical trees.)
-        // It lands *before* CampaignFinished, so a finished journal
-        // implies a complete tree.
-        let finished = self.tb.now();
-        store.write(
-            "controller.log",
-            self.tb.trace.render_min_level(TraceLevel::Info),
-        )?;
-        journal.append(&JournalRecord::CampaignFinished {
-            finished_ns: finished.as_nanos(),
-            succeeded: tally.records.iter().filter(|r| r.success).count(),
-            failed: tally.failed_runs.len(),
-        })?;
-        self.tb.calendar.release(reservation);
-        Ok(ExperimentOutcome {
-            result_dir: store.dir().to_path_buf(),
-            runs: tally.records,
-            started,
-            finished,
-            recoveries: tally.recoveries,
-            failed_runs: tally.failed_runs,
-            quarantined_hosts: tally.quarantined_hosts,
-            quarantined_runs: Vec::new(),
-            total_recovery_time: tally.recovery_time,
-        })
+        self.log_now(
+            TraceLevel::Debug,
+            "controller",
+            format!("resume: run {index} verified, skipped"),
+        );
     }
 
     /// The control plane of one measurement run, at the testbed's current
@@ -1557,7 +1259,7 @@ impl<'t> Controller<'t> {
     /// up front, so the timeline (and the next run's control plane) can
     /// move on while they run on the measurement pool.
     ///
-    /// This is the unit a parallel scheduler dispatches to a worker lane:
+    /// This is the unit the campaign driver dispatches to a worker lane:
     /// the lane's controller keeps its own health map, clock and trace.
     pub fn run_control_plane(
         &mut self,
@@ -1780,27 +1482,26 @@ impl<'t> Controller<'t> {
         Ok(())
     }
 
-    /// Makes a run durable and observable, in the order an unpipelined
-    /// campaign does it: wipe leftovers, journal `RunStarted`, replay the
-    /// control plane's progress and `HostQuarantined` records, then —
-    /// waiting for the run's measurements — write its outputs, files and
-    /// metadata, seal it, report `RunDone`, and journal `RunCompleted`.
+    /// Makes a run durable, in the order an unpipelined campaign does
+    /// it: wipe leftovers, journal `RunStarted`, replay the control
+    /// plane's progress and `HostQuarantined` records, then — waiting for
+    /// the run's measurements — write its outputs, files and metadata,
+    /// seal it, and journal `RunCompleted`.
     ///
-    /// `store` may be shared between lanes (runs write disjoint
-    /// `run-NNNN` directories). An aborting failure (unsuccessful run
-    /// without [`RunOptions::continue_on_run_failure`]) writes
-    /// `controller.log` and returns [`ControllerError::RunFailed`],
-    /// leaving the run journaled as started-only so a resume retries it;
-    /// an error the control plane hit mid-run is returned right after
-    /// the records leading up to it.
-    pub fn commit_run(
+    /// `store` and `journal` are shared between lanes (runs write
+    /// disjoint `run-NNNN` directories and commit in run order). An
+    /// aborting failure (unsuccessful run without
+    /// [`RunOptions::continue_on_run_failure`]) is sealed but not
+    /// journaled complete, so a resume retries it; an error the control
+    /// plane hit mid-run is returned right after the records leading up
+    /// to it.
+    pub(crate) fn commit_run(
         &mut self,
         p: PendingRun,
         spec: &ExperimentSpec,
         opts: &RunOptions,
         store: &ResultStore,
         journal: &mut Journal,
-        total: usize,
     ) -> Result<RunStep, ControllerError> {
         let index = p.run.index;
         // Not durable: clear any partial leftovers first, so what the
@@ -1850,37 +1551,20 @@ impl<'t> Controller<'t> {
         // Seal the run: the checksum manifest is the last artifact
         // written, so its presence certifies every other one.
         let digest = store.finalize_run(index)?;
-        let run_dir = store.run_dir(index)?;
-        self.emit(Progress::RunDone {
-            index,
-            total,
-            success: p.success,
-            dir: run_dir,
-        });
-        if !p.success && !opts.continue_on_run_failure {
-            // No RunCompleted record: an aborting failure leaves the
-            // run journaled as started-only, so a resume retries it.
-            store.write(
-                "controller.log",
-                self.tb.trace.render_min_level(TraceLevel::Info),
-            )?;
-            return Err(ControllerError::RunFailed {
+        if p.success || opts.continue_on_run_failure {
+            journal.append(&JournalRecord::RunCompleted {
                 index,
+                success: p.success,
                 attempts: p.attempts,
-            });
+                recoveries: p.recoveries,
+                recovery_time_ns: p.recovery_time.as_nanos(),
+                started_ns: p.started.as_nanos(),
+                finished_ns: p.finished.as_nanos(),
+                rng_cursor: p.rng_cursor,
+                digest,
+                fault_trace: p.fault_trace.clone(),
+            })?;
         }
-        journal.append(&JournalRecord::RunCompleted {
-            index,
-            success: p.success,
-            attempts: p.attempts,
-            recoveries: p.recoveries,
-            recovery_time_ns: p.recovery_time.as_nanos(),
-            started_ns: p.started.as_nanos(),
-            finished_ns: p.finished.as_nanos(),
-            rng_cursor: p.rng_cursor,
-            digest: digest.clone(),
-            fault_trace: p.fault_trace.clone(),
-        })?;
         Ok(RunStep {
             record: RunRecord {
                 params: p.run,
@@ -1891,19 +1575,15 @@ impl<'t> Controller<'t> {
                 fault_trace: p.fault_trace,
             },
             quarantined: p.quarantined,
-            recoveries: p.recoveries,
             recovery_time: p.recovery_time,
-            started: p.started,
-            finished: p.finished,
-            digest,
         })
     }
 
     /// Rebuilds the in-memory per-role outputs of a verified, skipped run
     /// from its on-disk artifacts. Command durations are not persisted,
     /// so reloaded results carry zero durations — run timing lives in the
-    /// metadata, which is restored verbatim from disk. Public so a
-    /// parallel resume can surface skipped runs' outputs in its outcome.
+    /// metadata, which is restored verbatim from disk. A resume surfaces
+    /// skipped runs' outputs in its outcome with it.
     pub fn reload_run_outputs(
         spec: &ExperimentSpec,
         run_dir: &Path,
@@ -1937,30 +1617,22 @@ impl<'t> Controller<'t> {
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignSetup {
     /// The calendar reservation covering the experiment hosts; released
-    /// by the campaign wrap-up (or by a scheduler tearing a lane down).
+    /// by the campaign wrap-up, lane by lane.
     pub reservation: pos_testbed::ReservationId,
     /// Virtual instant the setup phase began.
     pub started: SimTime,
 }
 
 /// What [`Controller::commit_run`] produced: the run's record plus
-/// the bookkeeping a campaign (or scheduler) accumulates across runs.
+/// the bookkeeping a campaign accumulates across runs.
 #[derive(Debug)]
-pub struct RunStep {
+pub(crate) struct RunStep {
     /// The run's record (outputs, attempts, success, fault trace).
     pub record: RunRecord,
     /// Hosts newly quarantined while this run executed, in order.
     pub quarantined: Vec<String>,
-    /// Out-of-band recoveries performed during this run.
-    pub recoveries: u32,
     /// Virtual time spent in recovery during this run.
     pub recovery_time: SimDuration,
-    /// Virtual instant the run started.
-    pub started: SimTime,
-    /// Virtual instant the run finished.
-    pub finished: SimTime,
-    /// The sealed run's digest, as journaled in `RunCompleted`.
-    pub digest: String,
 }
 
 /// A run whose control plane ([`Controller::run_control_plane`]) has
@@ -2002,6 +1674,13 @@ impl PendingRun {
     /// later run's control plane may start before it commits.
     pub fn aborts(&self, opts: &RunOptions) -> bool {
         self.abort.is_some() || (!self.success && !opts.continue_on_run_failure)
+    }
+
+    /// Whether the controller's host ladder acted on the run: a retried
+    /// attempt, an out-of-band recovery, or a quarantine. Such a run's
+    /// duration says nothing about its lane's health.
+    pub fn host_ladder_acted(&self) -> bool {
+        self.attempts > 1 || self.recoveries > 0 || !self.quarantined.is_empty()
     }
 }
 
@@ -2054,38 +1733,17 @@ fn append_output(capture: &mut String, out: &str) {
     }
 }
 
-/// A campaign's runs in flight (control plane done, commit pending),
-/// oldest first, and what its committed runs add up to.
-#[derive(Debug, Default)]
-struct Tally {
-    in_flight: VecDeque<PendingRun>,
-    records: Vec<RunRecord>,
-    recoveries: u32,
-    recovery_time: SimDuration,
-    failed_runs: Vec<usize>,
-    quarantined_hosts: Vec<String>,
-}
-
-/// What a resume session learned from the journal: runs it may skip and
-/// host state it must restore. Empty for a fresh campaign.
-#[derive(Debug, Default)]
-struct ResumeState {
-    /// Verified-complete runs by index.
-    completed: BTreeMap<usize, CompletedRun>,
-    /// Hosts quarantined before the last durable run, in journal order.
-    quarantined: Vec<String>,
-}
-
-/// The journaled post-state of one verified-complete run.
-#[derive(Debug)]
-struct CompletedRun {
-    success: bool,
-    attempts: u32,
-    recoveries: u32,
-    recovery_time_ns: u64,
-    finished_ns: u64,
-    rng_cursor: u64,
-    fault_trace: Vec<String>,
+/// The replica factory of a campaign driven through
+/// [`Controller::run_experiment`]: a one-lane campaign only needs a
+/// replica when an injected lane fault kills its lane, and the
+/// controller's own testbed has none to offer.
+fn no_replica(lane: usize, _: LaneFlavor) -> Result<Testbed, ControllerError> {
+    Err(ControllerError::Topology {
+        reason: format!(
+            "lane {lane}: a controller-driven campaign has no replica testbeds \
+             (drive it through pos_core::campaign::run_campaign)"
+        ),
+    })
 }
 
 /// Internal: a script step failed.

@@ -14,8 +14,8 @@
 //! journal claims durable — bit rot or tampering).
 
 use crate::journal::{
-    campaign_disk_state, lane_journal_file, CampaignDiskState, Journal, JournalError,
-    JournalRecord, JOURNAL_FILE, LEDGER_FILE,
+    campaign_disk_state, CampaignDiskState, Journal, JournalError, JournalRecord, JOURNAL_FILE,
+    LEDGER_FILE,
 };
 use crate::resultstore::{tree_digest, ResultStore, RunVerification};
 use std::collections::BTreeMap;
@@ -65,15 +65,9 @@ pub struct RunFsck {
 pub struct FsckReport {
     /// The checked tree.
     pub result_dir: PathBuf,
-    /// Complete journal records replayed (scheduler-level `journal.log`).
+    /// Complete journal records replayed (`journal.log`).
     pub journal_records: usize,
-    /// Per-lane journals found (`journal-lane*.log`); 0 for a sequential
-    /// tree.
-    pub lane_journals: usize,
-    /// Complete records replayed across all per-lane journals.
-    pub lane_records: usize,
-    /// True when any journal (scheduler-level or per-lane) ends in a
-    /// torn (partially written) record.
+    /// True when the journal ends in a torn (partially written) record.
     pub torn_tail: bool,
     /// True when a `CampaignFinished` record is present.
     pub campaign_finished: bool,
@@ -125,12 +119,6 @@ impl FsckReport {
                 ", campaign INCOMPLETE"
             },
         ));
-        if self.lane_journals > 0 {
-            out.push_str(&format!(
-                "lanes: {} lane journals, {} records\n",
-                self.lane_journals, self.lane_records,
-            ));
-        }
         if !self.retired_lanes.is_empty() || self.replanned_lanes > 0 || self.run_retries > 0 {
             out.push_str(&format!(
                 "failover: {} lane(s) retired, {} replacement lane(s), {} run retry step(s)\n",
@@ -216,8 +204,6 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
     let mut report = FsckReport {
         result_dir: result_dir.to_path_buf(),
         journal_records: 0,
-        lane_journals: 0,
-        lane_records: 0,
         torn_tail: false,
         campaign_finished: false,
         planned_runs: None,
@@ -244,7 +230,6 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
 
     // Journaled completion per run index, last record wins.
     let mut completed: BTreeMap<usize, String> = BTreeMap::new();
-    let mut lane_plan: Option<usize> = None;
     // Runs a retired lane was holding when it died — the journal must
     // later account for each (reassigned completion or quarantine).
     let mut held_by_dead_lane: Vec<(usize, usize)> = Vec::new();
@@ -264,9 +249,6 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
             match rec {
                 JournalRecord::RunCompleted { index, digest, .. } => {
                     completed.insert(*index, digest.clone());
-                }
-                JournalRecord::LanePlan { lanes, .. } => {
-                    lane_plan = Some(*lanes);
                 }
                 JournalRecord::LaneRetired {
                     lane, reason, run, ..
@@ -291,46 +273,6 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
             }
         }
         report.quarantined_runs.sort_unstable();
-    }
-
-    // A LanePlan record marks a parallel tree: every worker lane kept its
-    // own journal (`journal-lane{k}.log`), and a run's completion lives in
-    // whichever lane executed it. Replacement lanes replanned after a
-    // retirement (`LaneReplanned`) keep journals beyond the original
-    // plan. Merge them all; a run is accounted for if *any* lane
-    // journaled it complete. Torn lane tails are ordinary crash
-    // artifacts, like a torn scheduler journal.
-    if let Some(lanes) = lane_plan {
-        let total_lanes = lanes + report.replanned_lanes;
-        for lane in 0..total_lanes {
-            let lane_path = result_dir.join(lane_journal_file(lane));
-            match Journal::replay(&lane_path) {
-                Ok(lane_replay) => {
-                    report.lane_journals += 1;
-                    report.lane_records += lane_replay.records.len();
-                    report.torn_tail |= lane_replay.torn_tail;
-                    for rec in &lane_replay.records {
-                        if let JournalRecord::RunCompleted { index, digest, .. } = rec {
-                            completed.insert(*index, digest.clone());
-                        }
-                    }
-                }
-                Err(JournalError::Io(e))
-                    if e.kind() == io::ErrorKind::NotFound && lane >= lanes =>
-                {
-                    // A replanned lane the crash beat to its journal:
-                    // an ordinary crash artifact, resume recreates it.
-                }
-                Err(JournalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-                    report
-                        .errors
-                        .push(format!("lane {lane}: journal missing ({e})"));
-                }
-                Err(e) => {
-                    report.errors.push(format!("lane {lane}: {e}"));
-                }
-            }
-        }
     }
 
     // Failover integrity: a lane retired while holding a run obliges the

@@ -19,8 +19,8 @@
 //!   checksum (bit rot, manual editing). This is never produced by a
 //!   crash and replay refuses the journal.
 //!
-//! [`crate::controller::Controller::resume_experiment`] replays the
-//! journal to skip verified-complete runs; [`crate::fsck`] replays it to
+//! [`crate::campaign::resume_campaign`] replays the journal to skip
+//! verified-complete runs; [`crate::fsck`] replays it to
 //! audit a result tree offline.
 
 use crate::hash::sha256_hex;
@@ -46,18 +46,6 @@ pub const JOURNAL_FILE: &str = "journal.log";
 /// vocabulary (`ServeStarted` / `SubmissionAccepted` /
 /// `CampaignDispatched` / `SubmissionFinished` / `DrainStarted`).
 pub const LEDGER_FILE: &str = "ledger.log";
-
-/// File name of worker lane `lane`'s journal inside a result tree.
-///
-/// A parallel campaign keeps the scheduler-level journal in
-/// [`JOURNAL_FILE`] (campaign start, lane plan, campaign finish) and one
-/// journal per worker lane recording the runs that lane executed. Lane
-/// journals are an execution artifact, not part of the canonical result
-/// tree: the determinism contract excludes `journal*.log` when comparing
-/// parallel against sequential trees.
-pub fn lane_journal_file(lane: usize) -> String {
-    format!("journal-lane{lane}.log")
-}
 
 /// One campaign lifecycle event.
 ///
@@ -125,12 +113,10 @@ pub enum JournalRecord {
         /// Warn-and-above trace lines captured during the run.
         fault_trace: Vec<String>,
     },
-    /// A parallel scheduler split the campaign across worker lanes.
+    /// The campaign driver split the campaign across worker lanes.
     ///
-    /// Written to the scheduler-level journal right after
-    /// `CampaignStarted`; its presence is how `pos resume` and `pos fsck`
-    /// recognize a parallel result tree and go looking for per-lane
-    /// journals (see [`lane_journal_file`]).
+    /// Written right after `CampaignStarted`; a resume rebuilds the same
+    /// lanes from it (a journal without one ran on a single lane).
     LanePlan {
         /// Number of worker lanes.
         lanes: usize,
@@ -138,27 +124,13 @@ pub enum JournalRecord {
         /// virtualized clone), indexed by lane.
         flavors: Vec<String>,
     },
-    /// A worker lane finished its setup phase and began executing runs.
-    ///
-    /// First record of each per-lane journal.
-    LaneStarted {
-        /// Zero-based lane index.
-        lane: usize,
-        /// Root seed of the lane's replica testbed (equals the campaign
-        /// seed — lanes are same-seed replicas).
-        seed: u64,
-        /// Testbed flavor the lane runs on.
-        flavor: String,
-        /// Virtual time the lane became ready, nanoseconds.
-        started_ns: u64,
-    },
-    /// The scheduler's lane-supervision configuration, journaled right
+    /// The driver's lane-supervision configuration, journaled right
     /// after [`Self::LanePlan`] so a resume replays the exact same
     /// failover decisions (fault plan, grace factor, poison threshold,
     /// recovery policy).
     SupervisorPlan {
-        /// JSON-serialized supervisor options (owned by `pos-sched`; the
-        /// journal stores it opaquely so the record type stays in core).
+        /// JSON-serialized supervisor options (the journal stores them
+        /// opaquely, so this record type does not depend on them).
         config: String,
     },
     /// A lane supervisor declared a worker lane dead and stopped
@@ -206,8 +178,8 @@ pub enum JournalRecord {
     },
     /// The supervisor replanned a replacement lane (site calendar when a
     /// bare-metal replica set was free, virtual clone otherwise). Resume
-    /// and fsck learn about lane journals beyond the original
-    /// [`Self::LanePlan`] from these records.
+    /// rebuilds lanes beyond the original [`Self::LanePlan`] from these
+    /// records.
     LaneReplanned {
         /// Index of the new lane (always the next unused index).
         lane: usize,
@@ -606,8 +578,7 @@ impl Journal {
 
 /// Encodes a serialized record payload as its on-disk frame:
 /// `POSJ1 <len:08x> <sha256-hex-of-json> <json>\n`. The single framing
-/// path shared by every journal writer — the scheduler-level
-/// `journal.log` and the per-lane `journal-lane{k}.log` files alike.
+/// path shared by every journal writer.
 pub fn encode_frame(json: &str) -> String {
     format!(
         "{JOURNAL_MAGIC} {:08x} {} {json}\n",
@@ -693,7 +664,7 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<FrameStep, JournalErr
 }
 
 /// Disk-level lifecycle state of a campaign result tree, judged purely
-/// from its scheduler-level journal. The replay entry point `pos serve`
+/// from its journal. The replay entry point `pos serve`
 /// restart recovery and the queue-ledger fsck share: both need to decide,
 /// for a tree found on disk, whether the campaign it belongs to finished,
 /// is resumable, or never got far enough to matter.
@@ -705,8 +676,8 @@ pub enum CampaignDiskState {
     /// the path.
     NoJournal,
     /// The journal replays but has no `CampaignFinished` record: the
-    /// campaign is in flight or was interrupted, and `resume_experiment`
-    /// / `resume_parallel` can complete it.
+    /// campaign is in flight or was interrupted, and `resume_campaign`
+    /// can complete it.
     InProgress {
         /// Runs with a durable `RunCompleted` record so far.
         runs_completed: usize,
@@ -726,7 +697,7 @@ pub enum CampaignDiskState {
 }
 
 /// Classifies the campaign result tree at `dir` by replaying its
-/// scheduler-level journal (see [`CampaignDiskState`]).
+/// journal (see [`CampaignDiskState`]).
 pub fn campaign_disk_state(dir: &Path) -> CampaignDiskState {
     let path = dir.join(JOURNAL_FILE);
     if !path.exists() {
@@ -784,55 +755,6 @@ pub fn campaign_disk_state(dir: &Path) -> CampaignDiskState {
     CampaignDiskState::InProgress {
         runs_completed,
         total_runs,
-    }
-}
-
-/// Everything needed to bring up one worker lane's journal.
-///
-/// Shared by the three places that used to hand-roll the same
-/// create-or-reopen + crash-arming + `LaneStarted` boilerplate: the
-/// parallel scheduler's initial lane bring-up, its resume path, and the
-/// supervisor's replacement-lane replanning.
-#[derive(Debug, Clone)]
-pub struct LaneJournalSpec {
-    /// Zero-based lane index.
-    pub lane: usize,
-    /// Campaign root seed (lanes are same-seed replicas).
-    pub seed: u64,
-    /// Testbed flavor the lane runs on.
-    pub flavor: String,
-    /// Virtual time the lane became ready, nanoseconds.
-    pub started_ns: u64,
-    /// Deterministic crash injection: fail the `crash_after`-th append.
-    pub crash_after: Option<u64>,
-    /// Whether the injected crash tears the frame.
-    pub torn_write: bool,
-}
-
-/// Opens lane `spec.lane`'s journal in `dir` for appending, creating it
-/// (and writing its `LaneStarted` header record) when absent. Crash
-/// injection is armed *before* the header append so an armed lane can
-/// crash on its very first record, same as the hand-rolled code did.
-pub fn open_or_create_lane_journal(
-    vfs: &Vfs,
-    dir: &Path,
-    spec: &LaneJournalSpec,
-) -> io::Result<Journal> {
-    let path = dir.join(lane_journal_file(spec.lane));
-    if path.exists() {
-        let mut journal = Journal::open_append_with(&path, vfs.clone())?;
-        journal.arm_crash(spec.crash_after, spec.torn_write);
-        Ok(journal)
-    } else {
-        let mut journal = Journal::create_with(&path, vfs.clone())?;
-        journal.arm_crash(spec.crash_after, spec.torn_write);
-        journal.append(&JournalRecord::LaneStarted {
-            lane: spec.lane,
-            seed: spec.seed,
-            flavor: spec.flavor.clone(),
-            started_ns: spec.started_ns,
-        })?;
-        Ok(journal)
     }
 }
 
@@ -985,34 +907,14 @@ mod tests {
     }
 
     #[test]
-    fn lane_records_roundtrip() {
-        assert_eq!(lane_journal_file(0), "journal-lane0.log");
-        assert_eq!(lane_journal_file(3), "journal-lane3.log");
-        let path = tmp("lanes");
-        let mut j = Journal::create(&path).unwrap();
-        j.append(&started()).unwrap();
-        let plan = JournalRecord::LanePlan {
-            lanes: 2,
-            flavors: vec!["pos".into(), "vpos".into()],
-        };
-        let lane = JournalRecord::LaneStarted {
-            lane: 1,
-            seed: 0xFEED,
-            flavor: "vpos".into(),
-            started_ns: 42,
-        };
-        j.append(&plan).unwrap();
-        j.append(&lane).unwrap();
-        let replay = Journal::replay(&path).unwrap();
-        assert_eq!(replay.records[1], plan);
-        assert_eq!(replay.records[2], lane);
-    }
-
-    #[test]
     fn failover_records_roundtrip() {
         let path = tmp("failover");
         let mut j = Journal::create(&path).unwrap();
         let records = vec![
+            JournalRecord::LanePlan {
+                lanes: 2,
+                flavors: vec!["pos".into(), "vpos".into()],
+            },
             JournalRecord::SupervisorPlan {
                 config: r#"{"grace_factor":8.0}"#.into(),
             },

@@ -15,6 +15,10 @@
 //!   synchronization barriers.
 //! * [`experiment`] — the experiment specification: roles (DuT, LoadGen,
 //!   …), per-role setup/measurement scripts, images, variables.
+//! * [`campaign`] — the one campaign driver: the controller as lane 0
+//!   plus same-seed replica lanes, supervised, committing every run in
+//!   run order into one journal and result tree. One lane is the
+//!   controller.
 //! * [`controller`] — the three-phase workflow: setup (allocate → boot →
 //!   configure), measurement (one queued run per loop-variable
 //!   combination, all output captured), and handoff to evaluation; plus
@@ -40,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod commands;
 pub mod controller;
 pub mod experiment;
@@ -57,7 +62,7 @@ pub mod vfs;
 
 pub use controller::{
     CampaignSetup, CancelToken, Controller, ControllerError, ExperimentOutcome, HostHealth,
-    PendingRun, Progress, ProgressCounters, ProgressSnapshot, RunOptions, RunRecord, RunStep,
+    PendingRun, Progress, ProgressCounters, ProgressSnapshot, RunOptions, RunRecord,
 };
 pub use experiment::{ExperimentSpec, RoleSpec};
 pub use loopvars::{expand_cross_product, RunParams};

@@ -7,7 +7,7 @@
 //! * [`InProcessTarget`] — today's answer: worker lanes in this
 //!   process, backed by bare-metal replica sets leased per scatter
 //!   group on a **shared** site calendar
-//!   ([`pos_sched::plan::ScatterLease`]); overflow lanes degrade to
+//!   ([`pos_sched::ScatterLease`]); overflow lanes degrade to
 //!   vpos clone replicas exactly like a standalone parallel campaign.
 //! * [`SimBatchTarget`] — a simulated remote SLURM-like batch cluster:
 //!   sweeps become queued jobs with deterministic queue waits and a
@@ -25,9 +25,10 @@ use pos_core::commands::case_study_testbed;
 use pos_core::controller::{ControllerError, RunOptions};
 use pos_core::experiment::ExperimentSpec;
 use pos_core::hash::sha256_hex;
-use pos_sched::plan::{site_host_sets, ScatterLease};
-use pos_sched::scheduler::{resume_parallel, run_parallel, ParallelOptions, ParallelOutcome};
-use pos_sched::LaneFlavor;
+use pos_sched::{
+    resume_parallel, run_parallel, site_host_sets, LaneFlavor, ParallelOptions, ParallelOutcome,
+    ScatterLease,
+};
 use pos_simkernel::{SimDuration, SimTime};
 use pos_testbed::Calendar;
 use serde::{Deserialize, Serialize};

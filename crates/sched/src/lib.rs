@@ -1,43 +1,25 @@
 //! # pos-sched
 //!
-//! Deterministic parallel campaign scheduling for the pos reproduction.
+//! Multi-campaign admission for the pos reproduction, plus the names of
+//! the campaign driver it feeds.
 //!
-//! The paper's controller executes a campaign's measurement runs strictly
-//! one after another. This crate adds the scheduling layer above it:
-//!
-//! * [`plan`] — lane planning over the site calendar: one bare-metal
-//!   replica host set per lane where the calendar has them free (acquired
-//!   as an atomic batch), virtual clone replicas for the rest.
-//! * [`scheduler`] — the parallel executor: worker lanes with a
-//!   deterministic work-stealing run queue, per-lane journals, and a
-//!   merge that leaves the canonical result tree **byte-identical** to a
-//!   sequential execution of the same seed (see the determinism argument
-//!   in [`scheduler`]'s module docs); plus [`scheduler::resume_parallel`]
-//!   for crash recovery across all lane journals.
-//! * [`supervisor`] — lane supervision: watchdog deadlines, journaled
-//!   lane retirement with deterministic reassignment or replacement-lane
-//!   replanning, per-run retry ladders on dedicated RNG sub-streams, and
-//!   poison-run quarantine with forensic bundles — all without breaking
-//!   byte-identity with the sequential execution.
-//! * [`queue`] — multi-campaign admission control: a bounded submission
-//!   queue with stride-based fair share across users, priority weights,
-//!   rejection diagnostics instead of wedging, preemption-free draining,
-//!   and per-submission completion outcomes (degraded completions are
-//!   recorded, not re-admitted).
+//! * [`queue`] — a bounded submission queue with stride-based fair share
+//!   across users, priority weights, rejection diagnostics instead of
+//!   wedging, preemption-free draining, and per-submission completion
+//!   outcomes (degraded completions are recorded, not re-admitted).
+//! * The driver itself — lane planning, the supervised lane loop, resume
+//!   — lives in [`pos_core::campaign`] so the controller can be its lane
+//!   0; it is re-exported here under its familiar names.
 
 #![warn(missing_docs)]
 
-pub mod plan;
 pub mod queue;
-pub mod scheduler;
-pub mod supervisor;
 
-pub use plan::{plan_lanes, site_host_sets, LaneAllocation, LaneFlavor, ScatterLease};
+pub use pos_core::campaign::{
+    plan, plan_lanes, resume_campaign, resume_parallel, run_campaign, run_parallel, site_host_sets,
+    LaneAllocation, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
+    ParallelOutcome, ScatterLease, SupervisorOptions,
+};
 pub use queue::{
     CompletedSubmission, CompletionOutcome, QueueError, QueueStatus, Submission, SubmissionQueue,
 };
-pub use scheduler::{
-    resume_parallel, resume_parallel_observed, run_parallel, run_parallel_observed,
-    ParallelOptions, ParallelOutcome,
-};
-pub use supervisor::{LaneDeath, LaneFaultPlan, LaneRecovery, SupervisorOptions};

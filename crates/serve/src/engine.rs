@@ -53,7 +53,7 @@ use pos_dag::{
     InProcessTarget, SimBatchTarget,
 };
 use pos_sched::{
-    resume_parallel, run_parallel, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError,
+    resume_campaign, run_campaign, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError,
     QueueStatus, Submission, SupervisorOptions,
 };
 use pos_simkernel::SimDuration;
@@ -82,7 +82,7 @@ pub struct ServeOptions {
     pub nominal_campaign_secs: u64,
     /// Testbed seed for every dispatched campaign.
     pub seed: u64,
-    /// Worker lanes per campaign (1 = the sequential controller).
+    /// Worker lanes per campaign (1 = the controller alone).
     pub lanes: usize,
     /// Per-campaign watchdog budget as a multiple of the experiment's
     /// planned duration — the lane supervisor's grace notion applied at
@@ -907,37 +907,48 @@ impl ServeEngine {
             opts.journal_torn_write = torn;
         }
         let seed = self.opts.seed;
-        if self.opts.lanes > 1 {
-            let popts = ParallelOptions {
-                lanes: self.opts.lanes,
-                site_replicas: self.opts.lanes,
-                supervisor: SupervisorOptions {
-                    grace_factor: self.opts.grace_factor,
-                    ..SupervisorOptions::default()
-                },
-            };
-            let res = run_parallel(spec, &opts, &popts, &mut |_, flavor| {
-                case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
+        let Some(mut lane0) = self.lane0(spec, seed, false) else {
+            return Ok(Exec::Done {
+                outcome: CompletionOutcome::Failed,
+                result_dir: String::new(),
             });
-            return self.classify(res.map(|o| o.outcome), armed);
-        }
-        let tb = match case_study_testbed(spec, seed, false, false) {
-            Ok(tb) => tb,
+        };
+        let popts = ParallelOptions {
+            supervisor: SupervisorOptions {
+                grace_factor: self.opts.grace_factor,
+                ..SupervisorOptions::default()
+            },
+            ..ParallelOptions::new(self.opts.lanes.max(1))
+        };
+        let res = run_campaign(&mut lane0, spec, &opts, &popts, &mut |_, flavor| {
+            case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
+        });
+        self.classify(res.map(|o| o.outcome), armed)
+    }
+
+    /// Lane 0 of a daemon campaign: the campaign testbed under a
+    /// controller that feeds the daemon's progress counters. `None`
+    /// (logged) when the testbed cannot be built.
+    fn lane0(
+        &self,
+        spec: &ExperimentSpec,
+        seed: u64,
+        virtualized: bool,
+    ) -> Option<Controller<'static>> {
+        match case_study_testbed(spec, seed, virtualized, true) {
+            Ok(tb) => {
+                let counters = self.progress.clone();
+                Some(Controller::owning(tb).with_progress(move |p| counters.observe(p)))
+            }
             Err(e) => {
                 eprintln!("pos-serve: testbed construction failed: {e}");
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
+                None
             }
-        };
-        let counters = self.progress.clone();
-        let mut ctl = Controller::owning(tb).with_progress(move |p| counters.observe(p));
-        self.classify(ctl.run_experiment(spec, &opts), armed)
+        }
     }
 
     /// Completes an interrupted result tree through the `pos resume`
-    /// machinery (sequential or parallel, as its journal records).
+    /// machinery, on the lanes its journal records.
     fn resume_tree(&self, dir: &Path) -> Result<Exec, ServeError> {
         let failed = |msg: String| {
             eprintln!("pos-serve: cannot resume {}: {msg}", dir.display());
@@ -961,23 +972,18 @@ impl ServeEngine {
             Err(e) => return failed(format!("stored experiment unloadable: {e}")),
         };
         let opts = self.run_options(dir, &spec);
-        if replay
-            .records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::LanePlan { .. }))
-        {
-            let res = resume_parallel(dir, &spec, &opts, &mut |_, flavor| {
-                case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
-            });
-            return self.classify(res.map(|o| o.outcome), false);
-        }
-        let tb = match case_study_testbed(&spec, seed, virtualized, true) {
-            Ok(tb) => tb,
-            Err(e) => return failed(e.to_string()),
+        let Some(mut lane0) = self.lane0(&spec, seed, virtualized) else {
+            return failed("testbed construction failed".into());
         };
-        let counters = self.progress.clone();
-        let mut ctl = Controller::owning(tb).with_progress(move |p| counters.observe(p));
-        self.classify(ctl.resume_experiment(dir, &spec, &opts), false)
+        let res = resume_campaign(&mut lane0, dir, &spec, &opts, &mut |_, flavor| {
+            case_study_testbed(
+                &spec,
+                seed,
+                virtualized || flavor == LaneFlavor::Virtual,
+                true,
+            )
+        });
+        self.classify(res.map(|o| o.outcome), false)
     }
 
     /// Folds a campaign result into the daemon's vocabulary: clean or

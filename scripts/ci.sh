@@ -101,6 +101,59 @@ fi
 "$POS" fsck "$TREE" >/dev/null
 rm -rf "$SCRUB_DIR"
 
+# One-driver smoke, end to end through the CLI: every campaign runs
+# through the one lane driver, whose one-lane form is the controller. The
+# same small sweep at one lane, at two lanes and on vpos must each leave a
+# tree with a single journal (journal.log) that fscks clean and has
+# nothing to resume; the pos trees at one and two lanes must hash equal,
+# journals excluded.
+echo "==> one-driver smoke (pos run --lanes 1, --lanes 2, --testbed vpos)"
+ONE_DIR=$(mktemp -d)
+"$POS" init "$ONE_DIR/exp" >/dev/null
+cat >"$ONE_DIR/exp/loop-variables.yml" <<'EOF'
+pkt_rate:
+- 10000
+- 20000
+pkt_sz:
+- 64
+EOF
+cat >"$ONE_DIR/exp/global-variables.yml" <<'EOF'
+dut_ip0: 10.0.0.1
+dut_ip1: 10.0.1.1
+run_secs: 1
+EOF
+# Runs the sweep with the given flags, checks its tree, prints its hash.
+one_driver_tree() {
+    name=$1
+    shift
+    "$POS" run "$ONE_DIR/exp" --results "$ONE_DIR/$name" "$@" >/dev/null
+    tree=$(dirname "$(find "$ONE_DIR/$name" -name journal.log)")
+    journals=$(cd "$tree" && find . -maxdepth 1 -name 'journal*')
+    if [ "$journals" != "./journal.log" ]; then
+        echo "one-driver smoke ($name): journals besides journal.log: $journals" >&2
+        exit 1
+    fi
+    "$POS" fsck "$tree" | grep -q 'status: clean' || {
+        echo "one-driver smoke ($name): fsck not clean" >&2
+        exit 1
+    }
+    if "$POS" resume "$tree" >/dev/null 2>"$ONE_DIR/resume.err" ||
+        ! grep -q 'nothing to resume' "$ONE_DIR/resume.err"; then
+        echo "one-driver smoke ($name): resume of a finished tree did not refuse" >&2
+        exit 1
+    fi
+    (cd "$tree" && find . -type f ! -name 'journal*' | LC_ALL=C sort | xargs sha256sum) |
+        sha256sum
+}
+ONE_LANE=$(one_driver_tree lanes1 --lanes 1)
+TWO_LANES=$(one_driver_tree lanes2 --lanes 2)
+one_driver_tree vpos --testbed vpos >/dev/null
+if [ "$ONE_LANE" != "$TWO_LANES" ]; then
+    echo "one-driver smoke: the trees at one and two lanes differ" >&2
+    exit 1
+fi
+rm -rf "$ONE_DIR"
+
 # DAG smoke, end to end through the CLI: scaffold the 3-stage case-study
 # DAG, check `pos dag viz` golden lines in both formats, run it small at 2
 # lanes, viz + fsck the result tree, and resume (a complete tree must be a

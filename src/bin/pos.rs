@@ -41,8 +41,8 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    resume_parallel_observed, run_parallel_observed, CompletionOutcome, LaneFaultPlan, LaneFlavor,
-    LaneRecovery, ParallelOptions, ParallelOutcome, SubmissionQueue,
+    resume_campaign, run_campaign, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery,
+    ParallelOptions, ParallelOutcome, SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
@@ -300,61 +300,54 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
             .map_err(|e| format!("{file} is not a valid lane fault plan: {e}"))?;
     }
 
-    // A fault plan needs the supervisor, so even a single lane routes
-    // through the parallel path (this is what the byte-identity contract
-    // compares against: `--lanes 1` under the same fault plan).
+    // Lane 0 is the plain controller's testbed; a run with more lanes or
+    // a lane fault plan also prints the lane summary.
     let supervised = lanes > 1 || !supervisor.fault_plan.is_empty();
-    if supervised {
-        if virtualized {
-            return Err(
-                "--lanes and --lane-faults need the pos testbed; lanes beyond \
-                 --site-replicas run on vpos clones automatically"
-                    .into(),
-            );
-        }
-        // Validate construction once up front; replica lanes rebuild the
-        // same testbed and cannot fail differently.
-        case_study_testbed(&spec, seed, false, false).map_err(|e| e.to_string())?;
-        println!(
-            "running `{}` on {lanes} lanes ({site_replicas} bare-metal replica sets, seed {seed}, {} runs)...",
-            spec.name,
-            pos::core::loopvars::cross_product_size(&spec.loop_vars).unwrap_or(0)
+    if supervised && virtualized {
+        return Err(
+            "--lanes and --lane-faults need the pos testbed; lanes beyond \
+             --site-replicas run on vpos clones automatically"
+                .into(),
         );
-        let popts = ParallelOptions {
-            lanes,
-            site_replicas,
-            supervisor,
-        };
-        let out = match run_parallel_observed(
-            &spec,
-            &run_opts,
-            &popts,
-            &mut |_, flavor| case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true),
-            &mut print_progress,
-        ) {
-            Ok(out) => out,
-            Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
-        };
-        print_parallel_outcome(&out);
-        return Ok(completion_of(&out.outcome));
     }
-
     let mut tb = case_study_testbed(&spec, seed, virtualized, false).map_err(|e| e.to_string())?;
-    println!(
-        "running `{}` on the {} testbed (seed {seed}, {} runs)...",
-        spec.name,
-        if virtualized { "vpos" } else { "pos" },
-        pos::core::loopvars::cross_product_size(&spec.loop_vars).unwrap_or(0)
-    );
-    let outcome = match Controller::new(&mut tb)
-        .with_progress(print_progress)
-        .run_experiment(&spec, &run_opts)
-    {
-        Ok(outcome) => outcome,
+    let runs = pos::core::loopvars::cross_product_size(&spec.loop_vars).unwrap_or(0);
+    if supervised {
+        println!(
+            "running `{}` on {lanes} lanes ({site_replicas} bare-metal replica sets, seed {seed}, {runs} runs)...",
+            spec.name,
+        );
+    } else {
+        println!(
+            "running `{}` on the {} testbed (seed {seed}, {runs} runs)...",
+            spec.name,
+            if virtualized { "vpos" } else { "pos" },
+        );
+    }
+    let popts = ParallelOptions {
+        lanes,
+        site_replicas,
+        supervisor,
+    };
+    let out = match run_campaign(
+        &mut Controller::new(&mut tb).with_progress(print_progress),
+        &spec,
+        &run_opts,
+        &popts,
+        &mut |_, flavor| {
+            case_study_testbed(
+                &spec,
+                seed,
+                virtualized || flavor == LaneFlavor::Virtual,
+                true,
+            )
+        },
+    ) {
+        Ok(out) => out,
         Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
     };
-    print_outcome(&outcome);
-    Ok(completion_of(&outcome))
+    print_campaign_outcome(&out, supervised);
+    Ok(completion_of(&out.outcome))
 }
 
 /// Loads a serialized [`FaultPlan`] and arms a faulty [`Vfs`] with it.
@@ -425,9 +418,13 @@ fn completion_of(outcome: &ExperimentOutcome) -> Completion {
     }
 }
 
-/// The parallel variant of [`print_outcome`]: the lane and speedup
-/// summary (the per-run lines were printed live as each run landed).
-fn print_parallel_outcome(out: &ParallelOutcome) {
+/// The campaign summary (the per-run lines were printed live as each run
+/// landed), preceded by the lane and speedup summary when `lanes` asks.
+fn print_campaign_outcome(out: &ParallelOutcome, lanes: bool) {
+    if !lanes {
+        print_outcome(&out.outcome);
+        return;
+    }
     println!(
         "lanes: {} [{}], runs per lane {:?}",
         out.lanes,
@@ -573,36 +570,6 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
         .map_err(|e| format!("cannot load stored experiment from {dir}/experiment: {e}"))?;
     spec.validate().map_err(|e| e.to_string())?;
 
-    // A LanePlan record marks a parallel campaign: route to the scheduler
-    // resume, which replays every lane journal.
-    if let Some(JournalRecord::LanePlan { lanes, .. }) = replay
-        .records
-        .iter()
-        .find(|r| matches!(r, JournalRecord::LanePlan { .. }))
-    {
-        let seed = *seed;
-        case_study_testbed(&spec, seed, false, false).map_err(|e| e.to_string())?;
-        println!(
-            "resuming `{}` on {lanes} lanes (seed {seed}, {total_runs} runs planned)...",
-            spec.name,
-        );
-        let mut run_opts = RunOptions::new(result_dir);
-        run_opts.testbed_flavor = testbed.clone();
-        run_opts.vfs = vfs;
-        let out = match resume_parallel_observed(
-            result_dir,
-            &spec,
-            &run_opts,
-            &mut |_, flavor| case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true),
-            &mut print_progress,
-        ) {
-            Ok(out) => out,
-            Err(e) => return checkpointed_or_error(e, dir),
-        };
-        print_parallel_outcome(&out);
-        return Ok(completion_of(&out.outcome));
-    }
-
     let mut tb = case_study_testbed(&spec, *seed, virtualized, true).map_err(|e| e.to_string())?;
     println!(
         "resuming `{}` on the {} testbed (seed {seed}, {total_runs} runs planned)...",
@@ -614,15 +581,26 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
     let mut run_opts = RunOptions::new(result_dir);
     run_opts.testbed_flavor = testbed.clone();
     run_opts.vfs = vfs;
-    let outcome = match Controller::new(&mut tb)
-        .with_progress(print_progress)
-        .resume_experiment(result_dir, &spec, &run_opts)
-    {
-        Ok(outcome) => outcome,
+    let seed = *seed;
+    let out = match resume_campaign(
+        &mut Controller::new(&mut tb).with_progress(print_progress),
+        result_dir,
+        &spec,
+        &run_opts,
+        &mut |_, flavor| {
+            case_study_testbed(
+                &spec,
+                seed,
+                virtualized || flavor == LaneFlavor::Virtual,
+                true,
+            )
+        },
+    ) {
+        Ok(out) => out,
         Err(e) => return checkpointed_or_error(e, dir),
     };
-    print_outcome(&outcome);
-    Ok(completion_of(&outcome))
+    print_campaign_outcome(&out, out.lanes > 1);
+    Ok(completion_of(&out.outcome))
 }
 
 /// Multi-campaign admission: `pos queue submit|status|drain`.

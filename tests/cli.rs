@@ -312,8 +312,55 @@ fn result_dir_of(stdout: &str) -> String {
         .to_owned()
 }
 
+/// The journal files at the root of a result tree, sorted.
+fn journals(tree: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(tree)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("journal"))
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn cli_parallel_lanes_match_sequential_and_fsck_audits_lane_journals() {
+fn cli_vpos_resume_repairs_a_damaged_run() {
+    let dir = workdir("vpos-resume");
+    init_small_exp(&dir);
+    let (ok, stdout, stderr) = run(
+        &dir,
+        &["run", "exp", "--results", "res", "--testbed", "vpos"],
+    );
+    assert!(ok, "vpos run failed: {stderr}");
+    let tree = dir.join(result_dir_of(&stdout));
+    let pristine = pos::core::resultstore::tree_digest(&tree).unwrap();
+
+    let victim = tree.join("run-0001/loadgen_measurement.log");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[0] ^= 0x01;
+    std::fs::write(&victim, &bytes).unwrap();
+    assert_ne!(
+        pos::core::resultstore::tree_digest(&tree).unwrap(),
+        pristine
+    );
+
+    let (ok, stdout, stderr) = run(&dir, &["resume", tree.to_str().unwrap()]);
+    assert!(ok, "vpos resume failed: {stderr}");
+    assert!(stdout.contains("vpos testbed"), "{stdout}");
+    assert!(
+        stdout.contains("run 1/2 ok (verified, skipped)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("run 2/2 ok\n"), "{stdout}");
+    assert_eq!(
+        pos::core::resultstore::tree_digest(&tree).unwrap(),
+        pristine,
+        "the repaired vpos tree must match the one before the damage"
+    );
+}
+
+#[test]
+fn cli_parallel_lanes_match_sequential_and_fsck_audits_one_journal() {
     let dir = workdir("lanes");
     init_small_exp(&dir);
 
@@ -363,13 +410,11 @@ fn cli_parallel_lanes_match_sequential_and_fsck_audits_lane_journals() {
     diff("run-0000/loadgen_measurement.log");
     diff("run-0001/loadgen_measurement.log");
     diff("run-0001/checksums.json");
-    assert!(dir.join(&par_dir).join("journal-lane0.log").exists());
-    assert!(dir.join(&par_dir).join("journal-lane1.log").exists());
-
-    // fsck recognizes the lane journals and audits through them.
+    // One journal layout at every lane count, and fsck audits it.
+    assert_eq!(journals(&dir.join(&seq_dir)), ["journal.log"]);
+    assert_eq!(journals(&dir.join(&par_dir)), ["journal.log"]);
     let (ok, stdout, stderr) = run(&dir, &["fsck", &par_dir]);
     assert!(ok, "fsck of a parallel tree failed: {stdout}{stderr}");
-    assert!(stdout.contains("lanes: 2 lane journals"), "{stdout}");
     assert!(stdout.contains("status: clean"), "{stdout}");
 
     // Damage a run: fsck attributes it, resume routes to the parallel

@@ -5,7 +5,9 @@
 //! in `tests/fixtures/golden_trees.txt`, recorded by a driver that ran
 //! every simulation to completion before moving on — so the digests say
 //! the pipelined driver writes the same bytes, not merely the same bytes
-//! twice.
+//! twice. The journal pins were re-recorded once, when the controller
+//! became the one-lane form of the campaign driver: each journal gained
+//! its `LanePlan` and `SupervisorPlan` records and nothing else moved.
 
 use pos::core::commands::case_study_testbed;
 use pos::core::controller::{Controller, ControllerError, Progress, RunOptions};

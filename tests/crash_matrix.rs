@@ -177,11 +177,13 @@ fn kill_at_every_journal_boundary_then_resume_converges() {
 #[test]
 fn resume_skips_verified_runs_and_reexecutes_the_rest() {
     let (want, _) = reference();
-    // Crash right before the final run's RunCompleted record: run 0 is
-    // durable, run 1 has artifacts on disk but no completion record.
+    // Crash right before the final run's RunCompleted record (append 6,
+    // after CampaignStarted, LanePlan, SupervisorPlan and run 0's pair):
+    // run 0 is durable, run 1 has artifacts on disk but no completion
+    // record.
     let root = tmp("skipmatrix");
     let mut opts = RunOptions::new(&root);
-    opts.journal_crash_after = Some(4);
+    opts.journal_crash_after = Some(6);
     let mut tb = testbed();
     Controller::new(&mut tb)
         .run_experiment(&spec(), &opts)
@@ -255,7 +257,8 @@ fn fsck_detects_flipped_byte_and_resume_repairs_exactly_that_run() {
 fn resume_refuses_wrong_seed_and_mutated_spec() {
     let root = tmp("refuse");
     let mut opts = RunOptions::new(&root);
-    opts.journal_crash_after = Some(3);
+    // Crash at run 1's RunStarted: run 0 is durable.
+    opts.journal_crash_after = Some(5);
     let mut tb = testbed();
     Controller::new(&mut tb)
         .run_experiment(&spec(), &opts)

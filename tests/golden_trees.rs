@@ -145,3 +145,56 @@ fn chaos_link_fault_tree_matches_golden() {
     let outcome = sequential("chaos-link", &chaos_spec(), false, Some(&plan));
     assert_eq!(outcome.successes(), 4, "{}", outcome.summary());
 }
+
+/// The outage campaign at nine 2 s runs: vtartu dies during run 3, its
+/// recovery fails and runs 3–8 fail fast on the quarantined host.
+fn early_outage() -> (ExperimentSpec, ChaosPlan) {
+    let mut spec = chaos_spec();
+    spec.loop_vars = Variables::new()
+        .with("pkt_sz", vec![64i64, 512, 1500])
+        .with("pkt_rate", vec![10_000i64, 50_000, 90_000]);
+    let plan = ChaosPlan::new(4)
+        .with_event(ChaosEvent::HostCrash {
+            host: "vtartu".into(),
+            at: SimTime::from_millis(85_500),
+        })
+        .with_event(ChaosEvent::PowerOutage {
+            host: "vtartu".into(),
+            from: SimTime::from_secs(84),
+            until: SimTime::from_secs(4000),
+        });
+    (spec, plan)
+}
+
+#[test]
+fn chaos_outage_early_tree_matches_golden_through_the_controller() {
+    let (spec, plan) = early_outage();
+    let outcome = sequential("chaos-outage-early", &spec, false, Some(&plan));
+    assert_eq!(
+        outcome.failed_runs,
+        vec![3, 4, 5, 6, 7, 8],
+        "{}",
+        outcome.summary()
+    );
+    assert_eq!(outcome.quarantined_hosts, vec!["vtartu".to_string()]);
+}
+
+#[test]
+fn chaos_outage_early_tree_matches_golden_at_one_lane() {
+    // The host ladder stretches run 3 far past the lane watchdog's
+    // budget; that is the controller's business, not a wedged lane, so
+    // the one-lane driver must leave the controller's tree.
+    let (spec, plan) = early_outage();
+    let mut opts = RunOptions::new(tmp("chaos-outage-early-lane"));
+    opts.continue_on_run_failure = true;
+    let out = run_parallel(&spec, &opts, &ParallelOptions::new(1), &mut |lane, _| {
+        let mut tb = case_study_testbed(&spec, SEED, false, false)?;
+        if lane == 0 {
+            Controller::new(&mut tb).apply_chaos(&plan)?;
+        }
+        Ok(tb)
+    })
+    .unwrap();
+    assert!(out.retired_lanes.is_empty(), "{:?}", out.retired_lanes);
+    check("chaos-outage-early", &out.outcome.result_dir);
+}

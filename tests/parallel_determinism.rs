@@ -184,12 +184,13 @@ fn crashed_parallel_campaign_resumes_to_identical_tree() {
     let root_ok = workdir("crash-ref");
     let dir_ok = run_with_lanes(&root_ok, 4);
 
-    // Crash: the first lane journal to reach its third append (its first
-    // run's RunCompleted record) fails mid-campaign.
+    // Crash: the journal's fifth append (CampaignStarted, LanePlan,
+    // SupervisorPlan, then the first run's RunStarted and RunCompleted)
+    // fails mid-campaign.
     let root = workdir("crash");
     let spec = small_spec();
     let mut opts = RunOptions::new(&root);
-    opts.journal_crash_after = Some(2);
+    opts.journal_crash_after = Some(4);
     opts.journal_torn_write = true;
     let err = run_parallel(&spec, &opts, &ParallelOptions::new(4), &mut make_lane).unwrap_err();
     let msg = err.to_string();
@@ -464,7 +465,9 @@ fn interrupted_failover_strands_run_and_fsck_flags_it() {
     let popts = faulted_popts(4, plan, LaneRecovery::Redistribute);
     let root = workdir("stranded");
     let mut opts = RunOptions::new(&root);
-    opts.journal_crash_after = Some(4);
+    // Appends: CampaignStarted, LanePlan, SupervisorPlan, runs 0 and 1
+    // (RunStarted + RunCompleted each), LaneRetired, then RunRetry (8).
+    opts.journal_crash_after = Some(8);
     let err = run_parallel(&small_spec(), &opts, &popts, &mut |_, flavor| {
         Ok(lane_testbed(flavor))
     })

@@ -295,6 +295,32 @@ fn clean_drain_exits_zero() {
     assert_eq!(report.exit_code(), 0, "clean drain: {report:?}");
 }
 
+/// A daemon campaign on two lanes reports through the one progress
+/// stream: lane 0's lifecycle events plus every run's `RunDone`.
+#[test]
+fn two_lane_campaign_feeds_the_progress_counters() {
+    let root = workdir("progress-lanes");
+    let tenants = storm(&root);
+    let mut opts = ServeOptions::new(root.join("state"), root.join("results"));
+    opts.lanes = 2;
+    let engine = ServeEngine::start(opts).unwrap();
+    engine.submit(&request(&tenants[0])).unwrap();
+    let StepOutcome::Finished { result_dir, .. } = engine.run_next().unwrap() else {
+        panic!("the campaign did not finish");
+    };
+    let runs = fs::read_dir(&result_dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().starts_with("run-")
+        })
+        .count() as u64;
+    let progress = engine.status().progress;
+    assert!(runs > 1, "a multi-run campaign, got {runs}");
+    assert_eq!(progress.runs_done, runs, "{progress:?}");
+    assert!(progress.setups_done >= 1, "{progress:?}");
+}
+
 /// A drain that leaves submissions pending exits 3; the backlog stays
 /// durable in the ledger and a later session completes it.
 #[test]
