@@ -17,12 +17,10 @@ use pos_simkernel::{SimDuration, SimTime, TraceLevel};
 /// Timer token: send the next packet (or burst of packets).
 const TOKEN_SEND: u64 = 1;
 
-/// Packets submitted per TOKEN_SEND timer when the TX link supports
-/// future-dated transmission: departure times are known in advance, so one
-/// timer covers a whole burst of exact departures, amortizing event-queue
-/// traffic without changing a single timestamp on the wire. On links where
-/// frames must be handed over at their departure instant (fault injection),
-/// the burst degenerates to one packet per timer.
+/// Packets submitted per TOKEN_SEND timer: departure times are known in
+/// advance, so one timer covers a whole burst of exact future-dated
+/// departures, amortizing event-queue traffic without changing a single
+/// timestamp on the wire.
 const BURST: u64 = 64;
 
 /// What sizes the generated frames have.
@@ -238,8 +236,7 @@ impl MoonGen {
     /// so bursting is invisible in every report.
     fn send_packets(&mut self, ctx: &mut SimCtx<'_>) {
         let start = self.started_at.expect("send before start");
-        let burst = if ctx.future_tx_capable(0) { BURST } else { 1 };
-        let end = (self.next_packet + burst).min(self.total_packets);
+        let end = (self.next_packet + BURST).min(self.total_packets);
         while self.next_packet < end {
             let i = self.next_packet;
             self.next_packet += 1;
@@ -400,7 +397,7 @@ impl Element for MoonGen {
 
     /// The RX side is pure accounting keyed on per-frame timestamps and
     /// probe contents; the TX side (port 0) never receives.
-    fn inline_rx(&self, port: usize, _all_ports_cut_through: bool) -> bool {
+    fn inline_rx(&self, port: usize) -> bool {
         port == 1
     }
 }

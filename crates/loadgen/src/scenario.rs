@@ -294,6 +294,14 @@ mod tests {
         let b = run_forwarding_experiment(&s);
         assert_eq!(a.report.rx_frames, b.report.rx_frames);
         assert_eq!(a.report.tx_frames, b.report.tx_frames);
+        // A faulty link costs no more events than a clean one: its fault
+        // outcomes are resolved at submit, and the generator still bursts.
+        assert!(
+            a.events < a.report.tx_attempted / 10,
+            "{} events for {} packets",
+            a.events,
+            a.report.tx_attempted
+        );
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! `Element::transmit` → tx queue → (serialization delay) → fault injector
 //! → (propagation delay) → peer port counters → `Element::on_frame`.
 //!
+//! All of it up to the arrival is resolved when the frame is submitted:
+//! the arrival is the only event a frame costs, and none at all when the
+//! receiver takes inline delivery.
+//!
 //! Elements never see corrupted frames: like a real NIC, the receiving port
 //! discards frames with a broken FCS and counts an `rx_error`.
 
@@ -26,13 +30,6 @@ pub type NodeId = usize;
 /// Events the engine processes.
 #[derive(Debug)]
 pub enum Event {
-    /// A port finished serializing its in-flight frame.
-    TxComplete {
-        /// The transmitting element.
-        node: NodeId,
-        /// Its port index.
-        port: usize,
-    },
     /// A frame arrives at a port after crossing a link.
     FrameArrival {
         /// The receiving element.
@@ -95,28 +92,25 @@ struct Link {
     b: (NodeId, usize),
     propagation: SimDuration,
     injector: FaultInjector,
-    /// True when the injector can never touch a frame (no fault mechanism
-    /// configured). Such links deliver frames *cut-through*: the arrival is
-    /// scheduled at transmit start and no `TxComplete` event is needed,
-    /// halving the event count on the clean-path topologies that dominate
-    /// benchmarks and campaigns.
-    cut_through: bool,
     /// Frames arriving at endpoint `a` skip the event queue entirely and
     /// are delivered inline (see [`Element::inline_rx`]). Computed once at
-    /// simulation start; only ever true on cut-through links.
+    /// simulation start.
     inline_a: bool,
     /// Same for endpoint `b`.
     inline_b: bool,
 }
 
-/// A frame accepted on a cut-through link whose receiver opted into
-/// inline delivery: handed to the element from the drain loop with `at`
-/// (its true arrival instant) as virtual time, never touching the queue.
+/// A frame accepted on a link whose receiver opted into inline delivery:
+/// handed to the element from the drain loop with `at` (its true arrival
+/// instant) as virtual time, never touching the queue.
 struct InlineDelivery {
     node: NodeId,
     port: usize,
     frame: Frame,
     at: SimTime,
+    /// Corrupted in flight: the receiving port counts an `rx_error`
+    /// instead of handing the frame to the element.
+    corrupted: bool,
 }
 
 /// Engine state an element may touch during a callback.
@@ -143,24 +137,13 @@ impl SimCtx<'_> {
     }
 
     /// Submits `frame` for transmission on `port` at the future instant
-    /// `at`, returning whether it was accepted (queueing delay and
-    /// tail-drop are resolved immediately). Only supported on ports whose
-    /// link delivers cut-through (see [`Self::future_tx_capable`]); lets
+    /// `at`, returning whether it was accepted (queueing delay, tail-drop
+    /// and the link's fault outcome are resolved immediately). Lets
     /// open-loop senders and timeline-folded servers emit a whole batch of
-    /// paced frames from one event.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past or the port's link does not deliver
-    /// cut-through (fault injection needs completion-time events).
+    /// paced frames from one event. `at` must not lie before the current
+    /// instant (asserted in debug builds).
     pub fn transmit_at(&mut self, port: usize, frame: Frame, at: SimTime) -> bool {
         self.shared.start_tx_at(self.node, port, frame, at)
-    }
-
-    /// True when `port` is wired to a link that delivers cut-through (no
-    /// fault injection), i.e. [`Self::transmit_at`] may be used on it.
-    pub fn future_tx_capable(&self, port: usize) -> bool {
-        let p = &self.shared.ports[self.node][port];
-        matches!(p.link, Some(idx) if self.shared.links[idx].cut_through)
     }
 
     /// Schedules [`Element::on_timer`] with `token` after `delay`
@@ -240,11 +223,10 @@ pub trait Element: AsAny {
     /// the delivered frame + timestamp: pure measurement sinks, or
     /// servers whose outputs are future-dated transmissions
     /// ([`SimCtx::transmit_at`]). Arrival order is preserved per link but
-    /// not across links. `all_ports_cut_through` reports whether every
-    /// port of this element is wired fault-free — the precondition for
-    /// timeline-folded servers. Queried once at simulation start; only
-    /// honored on cut-through links. Default: never.
-    fn inline_rx(&self, _port: usize, _all_ports_cut_through: bool) -> bool {
+    /// not across links. Frames corrupted in flight are counted as
+    /// `rx_errors` by the port and never reach the element, inline or not.
+    /// Queried once at simulation start. Default: never.
+    fn inline_rx(&self, _port: usize) -> bool {
         false
     }
 }
@@ -270,157 +252,86 @@ impl Shared {
     /// Submits `frame` for transmission on `(node, port)` at instant `at`
     /// (which must be at or after the current instant).
     ///
-    /// On a wired link with no fault injection the whole transmission is
-    /// *cut-through*: the start instant, queueing delay, tail-drop decision
-    /// and arrival are all computed here, no `TxComplete` event ever
-    /// exists, and the port's "queue" is just the list of accepted start
-    /// instants. Faulty or unconnected ports keep the eventful path — the
-    /// fault injector's RNG draws (and the unconnected-port warning) must
-    /// happen at completion time to preserve fault-injection outcomes —
-    /// and reject future submissions.
+    /// The whole transmission is resolved here, on every port: the start
+    /// instant, queueing delay, tail-drop decision, the link's fault
+    /// outcome and the arrival. No completion event ever exists, and the
+    /// port's "queue" is just the list of accepted start instants. The
+    /// fault injector is consulted with the completion instant `done`: a
+    /// FIFO port completes frames in submission order, so the injector
+    /// sees the same instants in the same order as if it ran when the
+    /// last bit left the port.
     fn start_tx_at(&mut self, node: NodeId, port: usize, frame: Frame, at: SimTime) -> bool {
         debug_assert!(at >= self.queue.now(), "transmission submitted in the past");
-        let cut_link = match self.ports[node][port].link {
-            Some(idx) if self.links[idx].cut_through => Some(idx),
-            _ => None,
-        };
-        if let Some(link_idx) = cut_link {
-            let wire = frame.wire_size();
-            let link = &self.links[link_idx];
-            let (peer, inline) = if link.a == (node, port) {
-                (link.b, link.inline_b)
-            } else {
-                (link.a, link.inline_a)
-            };
-            let propagation = link.propagation;
-            let p = &mut self.ports[node][port];
-            debug_assert!(p.in_flight.is_none() && p.tx_queue.is_empty());
-            // Frames whose serialization began by `at` no longer occupy
-            // the queue.
-            while p.pending_starts.front().is_some_and(|&s| s <= at) {
-                p.pending_starts.pop_front();
-            }
-            let start = if p.busy_until > at {
-                if p.pending_starts.len() >= p.config.tx_queue_frames {
-                    p.counters.tx_queue_drops += 1;
-                    return false;
-                }
-                p.pending_starts.push_back(p.busy_until);
-                p.busy_until
-            } else {
-                at
-            };
-            let done = start + p.config.serialization_time(wire);
-            p.busy_until = done;
-            p.counters.tx_frames += 1;
-            p.counters.tx_bytes += wire as u64;
-            if inline {
-                self.pending_inline.push_back(InlineDelivery {
-                    node: peer.0,
-                    port: peer.1,
-                    frame,
-                    at: done + propagation,
-                });
-            } else {
-                self.queue.schedule(
-                    done + propagation,
-                    Event::FrameArrival {
-                        node: peer.0,
-                        port: peer.1,
-                        frame,
-                        corrupted: false,
-                    },
-                );
-            }
-            return true;
-        }
-        assert!(
-            at == self.queue.now(),
-            "future transmission submitted on a port without cut-through delivery"
-        );
+        let wire = frame.wire_size();
         let p = &mut self.ports[node][port];
-        if p.is_busy() {
-            if p.tx_queue.len() >= p.config.tx_queue_frames {
+        // Frames whose serialization began by `at` no longer occupy the
+        // queue.
+        while p.pending_starts.front().is_some_and(|&s| s <= at) {
+            p.pending_starts.pop_front();
+        }
+        let start = if p.busy_until > at {
+            if p.pending_starts.len() >= p.config.tx_queue_frames {
                 p.counters.tx_queue_drops += 1;
                 return false;
             }
-            p.tx_queue.push_back(frame);
-            return true;
-        }
-        self.begin_serialization(node, port, frame);
-        true
-    }
-
-    /// Starts serializing `frame` on an idle port along the eventful path
-    /// (faulty link or unconnected port).
-    fn begin_serialization(&mut self, node: NodeId, port: usize, frame: Frame) {
-        let now = self.queue.now();
-        let p = &mut self.ports[node][port];
-        let ser = p.config.serialization_time(frame.wire_size());
-        p.in_flight = Some(frame);
-        p.busy_until = now + ser;
-        self.queue
-            .schedule(now + ser, Event::TxComplete { node, port });
-    }
-
-    /// Serialization finished: deliver across the link, start the next frame.
-    fn complete_tx(&mut self, node: NodeId, port: usize) {
-        let now = self.queue.now();
-        let (frame, wired) = {
-            let p = &mut self.ports[node][port];
-            let frame = p
-                .in_flight
-                .take()
-                .expect("TxComplete for a port with no in-flight frame");
-            p.counters.tx_frames += 1;
-            p.counters.tx_bytes += frame.wire_size() as u64;
-            (frame, p.link)
-        };
-
-        // Hand the frame to the link, if the port is wired to one.
-        if let Some(link_idx) = wired {
-            let link = &mut self.links[link_idx];
-            let peer = if link.a == (node, port) {
-                link.b
-            } else {
-                link.a
-            };
-            let outcome = link.injector.apply(now, frame.wire_size(), &mut self.rng);
-            match outcome {
-                FaultOutcome::Dropped => {
-                    self.trace.log(
-                        now,
-                        TraceLevel::Debug,
-                        &*self.names[node],
-                        "fault injector dropped a frame",
-                    );
-                }
-                deliver => {
-                    let corrupted = deliver == FaultOutcome::Corrupted;
-                    self.queue.schedule(
-                        now + link.propagation,
-                        Event::FrameArrival {
-                            node: peer.0,
-                            port: peer.1,
-                            frame,
-                            corrupted,
-                        },
-                    );
-                }
-            }
+            p.pending_starts.push_back(p.busy_until);
+            p.busy_until
         } else {
+            at
+        };
+        let done = start + p.config.serialization_time(wire);
+        p.busy_until = done;
+        p.counters.tx_frames += 1;
+        p.counters.tx_bytes += wire as u64;
+        let Some(link_idx) = p.link else {
             self.trace.log(
-                now,
+                done,
                 TraceLevel::Warn,
                 &*self.names[node],
                 format!("frame transmitted on unconnected port {port}"),
             );
+            return true;
+        };
+        let link = &mut self.links[link_idx];
+        let (peer, inline) = if link.a == (node, port) {
+            (link.b, link.inline_b)
+        } else {
+            (link.a, link.inline_a)
+        };
+        let corrupted = match link.injector.apply(done, wire, &mut self.rng) {
+            FaultOutcome::Deliver => false,
+            FaultOutcome::Corrupted => true,
+            FaultOutcome::Dropped => {
+                self.trace.log(
+                    done,
+                    TraceLevel::Debug,
+                    &*self.names[node],
+                    "fault injector dropped a frame",
+                );
+                return true;
+            }
+        };
+        let arrival = done + link.propagation;
+        if inline {
+            self.pending_inline.push_back(InlineDelivery {
+                node: peer.0,
+                port: peer.1,
+                frame,
+                at: arrival,
+                corrupted,
+            });
+        } else {
+            self.queue.schedule(
+                arrival,
+                Event::FrameArrival {
+                    node: peer.0,
+                    port: peer.1,
+                    frame,
+                    corrupted,
+                },
+            );
         }
-
-        // Start serializing the next queued frame, if any.
-        if let Some(next) = self.ports[node][port].tx_queue.pop_front() {
-            self.begin_serialization(node, port, next);
-        }
+        true
     }
 }
 
@@ -495,13 +406,11 @@ impl NetSim {
             );
         }
         let idx = self.shared.links.len();
-        let cut_through = config.fault.is_none();
         self.shared.links.push(Link {
             a,
             b,
             propagation: config.propagation,
             injector: FaultInjector::new(config.fault),
-            cut_through,
             inline_a: false,
             inline_b: false,
         });
@@ -571,32 +480,18 @@ impl NetSim {
             return;
         }
         self.started = true;
-        // Wiring is complete: resolve which link endpoints deliver inline.
-        // Only cut-through links qualify, and only when the receiving
-        // element opts in for that port.
-        let full_ct: Vec<bool> = (0..self.elements.len())
-            .map(|n| {
-                self.shared.ports[n]
-                    .iter()
-                    .all(|p| matches!(p.link, Some(i) if self.shared.links[i].cut_through))
-            })
-            .collect();
-        for idx in 0..self.shared.links.len() {
-            let (a, b, cut) = {
-                let l = &self.shared.links[idx];
-                (l.a, l.b, l.cut_through)
-            };
-            if !cut {
-                continue;
-            }
-            let inline_of = |els: &[Option<Box<dyn Element>>], (node, port): (NodeId, usize)| {
-                els[node]
-                    .as_deref()
-                    .expect("element present at start")
-                    .inline_rx(port, full_ct[node])
-            };
-            self.shared.links[idx].inline_a = inline_of(&self.elements, a);
-            self.shared.links[idx].inline_b = inline_of(&self.elements, b);
+        // Wiring is complete: resolve which link endpoints deliver inline,
+        // i.e. where the receiving element opts in for that port.
+        let elements = &self.elements;
+        let inline_of = |(node, port): (NodeId, usize)| {
+            elements[node]
+                .as_deref()
+                .expect("element present at start")
+                .inline_rx(port)
+        };
+        for link in &mut self.shared.links {
+            link.inline_a = inline_of(link.a);
+            link.inline_b = inline_of(link.b);
         }
         for node in 0..self.elements.len() {
             let now = self.shared.queue.now();
@@ -645,8 +540,14 @@ impl NetSim {
                 port,
                 frame,
                 at,
+                corrupted,
             } = d;
             let p = &mut self.shared.ports[node][port];
+            if corrupted {
+                p.counters.rx_errors += 1;
+                self.shared.horizon = self.shared.horizon.max(at);
+                continue;
+            }
             p.counters.rx_frames += 1;
             p.counters.rx_bytes += frame.wire_size() as u64;
             self.with_element(node, at, |el, ctx| el.on_frame(port, frame, ctx));
@@ -656,7 +557,6 @@ impl NetSim {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::TxComplete { node, port } => self.shared.complete_tx(node, port),
             Event::FrameArrival {
                 node,
                 port,
@@ -833,6 +733,67 @@ mod tests {
         let (dropped, corrupted) = sim.link_fault_stats(src, 0).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(corrupted, c.rx_errors);
+    }
+
+    #[test]
+    fn fault_draws_are_keyed_to_the_completion_instant() {
+        // 100 back-to-back 64 B frames complete at 68·(i+1) ns. A bucket of
+        // 5 tokens per 680 ns passes 5 frames in each of the ten full
+        // intervals and the last frame (done at 6800 ns) in the eleventh:
+        // 51 delivered, 49 dropped — whether the frames are queued at t=0
+        // or submitted future-dated at their own start instants. Drawing
+        // at the submit instant would pass only the first bucket's 5.
+        struct Paced {
+            future_dated: bool,
+        }
+        impl Element for Paced {
+            fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
+                for i in 0..100 {
+                    if self.future_dated {
+                        ctx.transmit_at(0, test_frame(64), SimTime::from_nanos(68 * i));
+                    } else {
+                        ctx.transmit(0, test_frame(64));
+                    }
+                }
+            }
+            fn on_frame(&mut self, _: usize, _: Frame, _: &mut SimCtx<'_>) {}
+        }
+        for future_dated in [false, true] {
+            let mut sim = NetSim::new(7);
+            let src = sim.add_element(
+                "src",
+                Box::new(Paced { future_dated }),
+                &[PortConfig {
+                    tx_queue_frames: 100,
+                    ..PortConfig::ten_gbe()
+                }],
+            );
+            let dst = sim.add_element(
+                "dst",
+                Box::new(CountingSink::new()),
+                &[PortConfig::ten_gbe()],
+            );
+            let mut fault = crate::fault::FaultConfig::none();
+            fault.rate_limit_tokens = 5;
+            fault.shaping_interval = SimDuration::from_nanos(680);
+            sim.connect(
+                (src, 0),
+                (dst, 0),
+                LinkConfig::direct_cable().with_fault(fault),
+            );
+            sim.run_to_idle();
+            assert_eq!(sim.port_counters(src, 0).tx_frames, 100);
+            assert_eq!(
+                sim.port_counters(dst, 0).rx_frames,
+                51,
+                "future_dated={future_dated}"
+            );
+            assert_eq!(
+                sim.link_fault_stats(src, 0),
+                Some((49, 0)),
+                "future_dated={future_dated}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! NIC ports: line-rate serialization, transmit queues, and counters.
 
-use pos_packet::builder::Frame;
 use pos_packet::wire_bits;
 use pos_simkernel::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -53,9 +52,12 @@ impl PortConfig {
 /// Traffic counters of one port, in both directions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PortCounters {
-    /// Frames fully serialized onto the wire.
+    /// Frames accepted for transmission. Counted when the frame is
+    /// submitted and admitted to the queue, so the count includes frames
+    /// whose serialization ends after the current instant.
     pub tx_frames: u64,
-    /// Wire bytes transmitted (FCS included, preamble/IFG excluded).
+    /// Wire bytes of the frames counted in `tx_frames` (FCS included,
+    /// preamble/IFG excluded).
     pub tx_bytes: u64,
     /// Frames dropped because the transmit queue was full.
     pub tx_queue_drops: u64,
@@ -72,19 +74,15 @@ pub struct PortCounters {
 pub struct Port {
     /// Static configuration.
     pub config: PortConfig,
-    /// Pending frames awaiting serialization.
-    pub(crate) tx_queue: VecDeque<Frame>,
-    /// The frame currently being serialized, if any.
-    pub(crate) in_flight: Option<Frame>,
-    /// When the in-flight frame finishes serialization.
+    /// When the last accepted frame finishes serialization.
     pub(crate) busy_until: SimTime,
     /// Index of the link this port is wired to, if any — stored on the
     /// port so the per-frame delivery path needs no map lookup.
     pub(crate) link: Option<usize>,
-    /// Start instants of cut-through transmissions that are accepted but
-    /// not yet serializing (the "queue" of the eventless TX path). Entries
-    /// at or before the current instant are popped lazily; the length is
-    /// the queue occupancy used for tail-drop decisions.
+    /// Start instants of transmissions that are accepted but not yet
+    /// serializing (the transmit queue). Entries at or before the current
+    /// instant are popped lazily; the length is the queue occupancy used
+    /// for tail-drop decisions.
     pub(crate) pending_starts: VecDeque<SimTime>,
     /// Counters.
     pub counters: PortCounters,
@@ -95,8 +93,6 @@ impl Port {
     pub fn new(config: PortConfig) -> Port {
         Port {
             config,
-            tx_queue: VecDeque::new(),
-            in_flight: None,
             busy_until: SimTime::ZERO,
             link: None,
             pending_starts: VecDeque::new(),
@@ -104,15 +100,9 @@ impl Port {
         }
     }
 
-    /// True while a frame is being serialized.
-    pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some()
-    }
-
-    /// Frames waiting in the transmit queue (eventful path) plus accepted
-    /// cut-through transmissions that have not started serializing.
+    /// Accepted transmissions that have not started serializing.
     pub fn queued(&self) -> usize {
-        self.tx_queue.len() + self.pending_starts.len()
+        self.pending_starts.len()
     }
 }
 
@@ -144,7 +134,6 @@ mod tests {
     #[test]
     fn new_port_is_idle() {
         let p = Port::new(PortConfig::ten_gbe());
-        assert!(!p.is_busy());
         assert_eq!(p.queued(), 0);
         assert_eq!(p.counters, PortCounters::default());
     }

@@ -208,11 +208,6 @@ pub struct LinuxRouter {
     /// Set while preempted: a service completion that fired during the
     /// pause is deferred until the vCPU resumes.
     deferred_completion: bool,
-    /// Whether the service timeline is folded into arrival processing
-    /// (no per-packet service timer). Decided on the first frame: only
-    /// profiles without preemption, and only when every egress port
-    /// supports future-dated cut-through transmission. `None` until then.
-    folded: Option<bool>,
     /// Folded mode: completion instants of packets accepted but not yet
     /// fully serviced. Entries at or before the current instant are
     /// drained lazily; the length is the ring occupancy for tail-drop.
@@ -241,7 +236,6 @@ impl LinuxRouter {
             serving: false,
             preempted: false,
             deferred_completion: false,
-            folded: None,
             completions: VecDeque::new(),
             last_completion: SimTime::ZERO,
             tx_at: None,
@@ -478,22 +472,12 @@ impl Element for LinuxRouter {
     }
 
     fn on_frame(&mut self, port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
-        // Decide once whether the service timeline can be folded into
-        // arrival processing: the queue is FIFO and service times are
-        // sampled in arrival order, so with no preemption process the
-        // whole timeline is computable the moment a packet arrives —
-        // no per-packet service timer needed, as long as every egress
-        // port accepts future-dated (cut-through) transmissions.
-        let folded = match self.folded {
-            Some(f) => f,
-            None => {
-                let f = self.profile.preemption.is_none()
-                    && (0..ctx.port_count()).all(|p| ctx.future_tx_capable(p));
-                self.folded = Some(f);
-                f
-            }
-        };
-        if !folded {
+        // Fold the service timeline into arrival processing when there is
+        // no preemption process: the queue is FIFO and service times are
+        // sampled in arrival order, so the whole timeline is computable
+        // the moment a packet arrives — no per-packet service timer, just
+        // future-dated transmissions.
+        if self.profile.preemption.is_some() {
             if self.ring.len() >= self.profile.ring_size {
                 self.stats.ring_drops += 1;
                 return;
@@ -505,7 +489,7 @@ impl Element for LinuxRouter {
 
         // Folded path: drain completions that are in the past — those
         // packets have left the ring — then tail-drop on occupancy,
-        // exactly like the eventful path does.
+        // exactly like the timer path does.
         let now = ctx.now();
         while self.completions.front().is_some_and(|&c| c <= now) {
             self.completions.pop_front();
@@ -530,14 +514,13 @@ impl Element for LinuxRouter {
         self.tx_at = None;
     }
 
-    /// With no preemption process and an all-cut-through node, the router
-    /// runs timeline-folded: every arrival is consumed immediately into
-    /// timestamp arithmetic and future-dated transmissions, so frames may
-    /// be delivered ahead of global event order (arrival order is
-    /// preserved per ingress link, which is exact for the single-flow
-    /// case-study topologies).
-    fn inline_rx(&self, _port: usize, all_ports_cut_through: bool) -> bool {
-        self.profile.preemption.is_none() && all_ports_cut_through
+    /// With no preemption process the router runs timeline-folded: every
+    /// arrival is consumed immediately into timestamp arithmetic and
+    /// future-dated transmissions, so frames may be delivered ahead of
+    /// global event order (arrival order is preserved per ingress link,
+    /// which is exact for the single-flow case-study topologies).
+    fn inline_rx(&self, _port: usize) -> bool {
+        self.profile.preemption.is_none()
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut SimCtx<'_>) {

@@ -50,7 +50,7 @@ impl Element for CountingSink {
 
     /// Pure accounting over per-frame timestamps: safe to receive frames
     /// ahead of global event order.
-    fn inline_rx(&self, _port: usize, _all_ports_cut_through: bool) -> bool {
+    fn inline_rx(&self, _port: usize) -> bool {
         true
     }
 }

@@ -9,7 +9,7 @@
 //! [`Bundle::exclude`] implements the selection.
 
 use crate::archive::{write_tar, TarEntry, TarError};
-use crate::sha256::sha256_hex;
+use pos_core::hash::sha256_hex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;

@@ -6,10 +6,10 @@
 //! the collected artifacts documenting the experimental structure in a
 //! format that can be easily read by researchers."*
 //!
-//! * [`sha256`] — a from-scratch SHA-256 so every artifact in the manifest
-//!   carries a content hash (integrity is part of publishability).
 //! * [`bundle`] — collects an experiment's result tree plus generated
-//!   figures into a release bundle with a machine-readable manifest.
+//!   figures into a release bundle with a machine-readable manifest in
+//!   which every artifact carries its SHA-256 ([`pos_core::hash`]):
+//!   integrity is part of publishability.
 //! * [`archive`] — writes the bundle as a POSIX ustar tar archive.
 //! * [`website`] — generates `index.html` and `README.md` listing all
 //!   artifacts, the equivalent of the paper's GitHub-pages site.
@@ -18,9 +18,7 @@
 
 pub mod archive;
 pub mod bundle;
-pub mod sha256;
 pub mod website;
 
 pub use archive::{write_tar, TarEntry};
 pub use bundle::{Bundle, BundleError, Manifest, ManifestEntry};
-pub use sha256::sha256_hex;

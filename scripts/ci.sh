@@ -34,6 +34,18 @@ echo "==> golden trees (tests/golden_trees.rs + tests/commit_window.rs)"
 cargo test -q --test golden_trees
 cargo test -q --test commit_window
 
+# The fault-path gate for netsim's one TX path: faulty and unconnected
+# ports resolve a transmission at submit like clean links, with fault
+# draws keyed to the completion instant. The `chaos-link` digest above,
+# `frame_conservation_under_random_faults`,
+# `fault_draws_are_keyed_to_the_completion_instant` and
+# `degraded_link_loses_packets_deterministically` (in the crates below)
+# and the chaos scenarios of tests/recovery.rs hold it to the bytes of
+# the former event-per-completion path.
+echo "==> fault path (pos-netsim + pos-loadgen + tests/recovery.rs)"
+cargo test -q -p pos-netsim -p pos-loadgen
+cargo test -q --test recovery
+
 # The crash matrix is the durability contract: kill the controller at every
 # journal record boundary (cleanly and with torn tails), resume, and demand a
 # byte-identical result tree. It runs as part of the workspace suite above;

@@ -4,6 +4,7 @@
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
+use pos::core::hash::sha256_hex;
 use pos::publish::bundle::Bundle;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::path::PathBuf;
@@ -50,8 +51,8 @@ fn same_seed_byte_identical_archive() {
     let a = full_pipeline(0xC0FFEE, "a");
     let b = full_pipeline(0xC0FFEE, "b");
     assert_eq!(
-        pos::publish::sha256_hex(&a),
-        pos::publish::sha256_hex(&b),
+        sha256_hex(&a),
+        sha256_hex(&b),
         "two runs of the same experiment must publish identical bytes"
     );
 }
@@ -61,7 +62,7 @@ fn different_seed_differs_in_detail_not_in_shape() {
     let a = full_pipeline(1, "s1");
     let b = full_pipeline(2, "s2");
     // Different seeds differ somewhere (boot jitter, latency samples)...
-    assert_ne!(pos::publish::sha256_hex(&a), pos::publish::sha256_hex(&b));
+    assert_ne!(sha256_hex(&a), sha256_hex(&b));
     // ...but both archives contain the same artifact structure.
     let ea = pos::publish::archive::read_tar(&a).unwrap();
     let eb = pos::publish::archive::read_tar(&b).unwrap();
