@@ -318,4 +318,13 @@ mod tests {
         assert!(svg.contains("64 B"));
         assert!(svg.contains("1500 B"));
     }
+
+    #[test]
+    fn case_study_completes_every_run() {
+        let root = std::env::temp_dir().join(format!("pos-bench-cs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let outcome = case_study(&root, 2, 1).expect("case study");
+        assert_eq!(outcome.successes(), 4, "2 rate steps x 2 packet sizes");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -472,10 +472,10 @@ pub mod parallel {
 /// raw parallel scheduler, see the `dag` binary.
 pub mod dag {
     use crate::parallel::campaign_spec;
-    use pos_core::commands::case_study_testbed;
+    use pos_core::commands::case_study_lanes;
     use pos_core::controller::RunOptions;
     use pos_dag::{linux_router_dag, run_dag, DagOptions, InProcessTarget, SimBatchTarget};
-    use pos_sched::{run_parallel, LaneFlavor, ParallelOptions};
+    use pos_sched::{run_parallel, ParallelOptions};
     use serde::Serialize;
     use std::time::Instant;
 
@@ -533,7 +533,7 @@ pub mod dag {
             &spec,
             &RunOptions::new(&raw_root),
             &ParallelOptions::new(lanes),
-            &mut |_, flavor| case_study_testbed(&spec, SEED, flavor == LaneFlavor::Virtual, true),
+            &mut case_study_lanes(&spec, SEED, false),
         )
         .expect("raw sweep succeeds");
         let raw_sweep_wall_ms = raw_start.elapsed().as_secs_f64() * 1e3;

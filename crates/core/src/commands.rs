@@ -9,6 +9,7 @@
 //! script forgot `sysctl -w net.ipv4.ip_forward=1`, the measurement
 //! faithfully reports zero forwarded packets.
 
+use crate::campaign::LaneFlavor;
 use crate::controller::ControllerError;
 use crate::experiment::ExperimentSpec;
 use pos_loadgen::scenario::{ForwardingScenario, Platform};
@@ -37,9 +38,9 @@ pub fn register_all(tb: &mut Testbed) {
 /// journal and is used as-is, derivation already having happened in the
 /// original session.
 ///
-/// Shared by the CLI, the scheduler's replica-lane closures, and the
-/// `pos serve` daemon; failures are typed ([`ControllerError::Topology`])
-/// so callers propagate them instead of aborting.
+/// Shared by the CLI, [`case_study_lanes`], and the `pos serve` daemon;
+/// failures are typed ([`ControllerError::Topology`]) so callers
+/// propagate them instead of aborting.
 pub fn case_study_testbed(
     spec: &ExperimentSpec,
     seed: u64,
@@ -82,6 +83,24 @@ pub fn case_study_testbed(
     };
     register_all(&mut tb);
     Ok(tb)
+}
+
+/// The replica-lane factory of a campaign on `seed`: every lane the
+/// driver asks for is the case-study testbed at the exact seed, on vpos
+/// when the campaign runs there or the lane is a clone replica.
+pub fn case_study_lanes(
+    spec: &ExperimentSpec,
+    seed: u64,
+    virtualized: bool,
+) -> impl FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError> + '_ {
+    move |_, flavor| {
+        case_study_testbed(
+            spec,
+            seed,
+            virtualized || flavor == LaneFlavor::Virtual,
+            true,
+        )
+    }
 }
 
 /// The `ping` command: `ping <target-ip>` — the connectivity check setup

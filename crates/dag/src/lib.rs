@@ -27,6 +27,9 @@
 //!   `GatherSealed` / `NodeFinished` / `DagFinished` records through
 //!   `pos_core::journal`, subtree digests per node, and resume that
 //!   fast-forwards digest-verified nodes.
+//! * [`launch`] — the one resume path for a result tree of either
+//!   kind: its identity read from the journal, its lanes and target
+//!   rebuilt from that identity, and the matching driver called.
 //! * [`viz`] — `pos dag viz`: Graphviz dot and ASCII rendering of the
 //!   DAG (and the testbed topology) before execution.
 //!
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod launch;
 pub mod spec;
 pub mod target;
 pub mod toposort;
@@ -91,7 +95,7 @@ pub enum DagError {
     Journal(JournalError),
     /// Result-tree I/O failed.
     Io(io::Error),
-    /// A resume request is inconsistent with the journaled DAG (edited
+    /// A resume request is inconsistent with the journaled tree (edited
     /// spec, wrong seed/testbed/target, ...).
     Resume {
         /// Why the resume was refused.
@@ -140,7 +144,7 @@ impl fmt::Display for DagError {
             DagError::Controller(e) => write!(f, "{e}"),
             DagError::Journal(e) => write!(f, "{e}"),
             DagError::Io(e) => write!(f, "DAG I/O error: {e}"),
-            DagError::Resume { reason } => write!(f, "cannot resume DAG: {reason}"),
+            DagError::Resume { reason } => write!(f, "cannot resume: {reason}"),
             DagError::Eval { stage, reason } => {
                 write!(f, "gather stage `{stage}` failed to evaluate: {reason}")
             }

@@ -21,13 +21,12 @@
 //! stage writes are a pure function of (seed, stage spec) — that is the
 //! determinism contract that makes targets interchangeable.
 
-use pos_core::commands::case_study_testbed;
+use pos_core::commands::{case_study_lanes, case_study_testbed};
 use pos_core::controller::{ControllerError, RunOptions};
 use pos_core::experiment::ExperimentSpec;
 use pos_core::hash::sha256_hex;
 use pos_sched::{
-    resume_parallel, run_parallel, site_host_sets, LaneFlavor, ParallelOptions, ParallelOutcome,
-    ScatterLease,
+    resume_parallel, run_parallel, site_host_sets, ParallelOptions, ParallelOutcome, ScatterLease,
 };
 use pos_simkernel::{SimDuration, SimTime};
 use pos_testbed::Calendar;
@@ -174,22 +173,6 @@ impl InProcessTarget {
             jobs: Vec::new(),
         }
     }
-
-    fn make_lane_factory<'a>(
-        &self,
-        spec: &'a ExperimentSpec,
-    ) -> impl FnMut(usize, LaneFlavor) -> Result<pos_testbed::Testbed, ControllerError> + 'a {
-        let seed = self.seed;
-        let virtualized = self.virtualized;
-        move |_, flavor| {
-            case_study_testbed(
-                spec,
-                seed,
-                virtualized || flavor == LaneFlavor::Virtual,
-                true,
-            )
-        }
-    }
 }
 
 impl ExecutionTarget for InProcessTarget {
@@ -226,7 +209,7 @@ impl ExecutionTarget for InProcessTarget {
             site_replicas: lease.site_replicas(),
             ..ParallelOptions::new(req.lanes)
         };
-        let mut make_lane = self.make_lane_factory(req.spec);
+        let mut make_lane = case_study_lanes(req.spec, self.seed, self.virtualized);
         let result = run_parallel(req.spec, req.opts, &popts, &mut make_lane);
         lease.release(&mut self.site);
         let out = result?;
@@ -249,7 +232,7 @@ impl ExecutionTarget for InProcessTarget {
         dir: &Path,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError> {
-        let mut make_lane = self.make_lane_factory(req.spec);
+        let mut make_lane = case_study_lanes(req.spec, self.seed, self.virtualized);
         let out = resume_parallel(dir, req.spec, req.opts, &mut make_lane)?;
         self.clock += out.parallel_elapsed;
         self.jobs.push(JobRecord {

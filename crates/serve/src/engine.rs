@@ -38,23 +38,21 @@
 //! make durable.
 
 use crate::ledger::{self, FinishedRec};
-use pos_core::commands::case_study_testbed;
+use pos_core::commands::{case_study_lanes, case_study_testbed};
 use pos_core::controller::{
-    CancelToken, Controller, ControllerError, ExperimentOutcome, ProgressCounters,
-    ProgressSnapshot, RunOptions,
+    CancelToken, Controller, ControllerError, Progress, ProgressCounters, ProgressSnapshot,
+    RunOptions,
 };
 use pos_core::experiment::ExperimentSpec;
 use pos_core::journal::{
-    campaign_disk_state, CampaignDiskState, Journal, JournalError, JournalRecord, JOURNAL_FILE,
+    campaign_disk_state, CampaignDiskState, Journal, JournalError, JournalRecord,
 };
 use pos_core::vfs::Vfs;
-use pos_dag::{
-    resume_dag, run_dag, DagError, DagOptions, DagOutcome, DagSpec, ExecutionTarget,
-    InProcessTarget, SimBatchTarget,
-};
+use pos_dag::launch::{Launched, Tree};
+use pos_dag::{run_dag, DagError, DagOptions, DagSpec, InProcessTarget};
 use pos_sched::{
-    resume_campaign, run_campaign, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError,
-    QueueStatus, Submission, SupervisorOptions,
+    run_campaign, CompletionOutcome, ParallelOptions, QueueError, QueueStatus, Submission,
+    SupervisorOptions,
 };
 use pos_simkernel::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -624,41 +622,51 @@ impl ServeEngine {
     }
 
     /// Executes (or settles) one submission's campaign, without holding
-    /// the control lock.
+    /// the control lock. A submission whose experiment dir carries a
+    /// `dag.yml` is a DAG campaign: same settlement, keyed on the DAG's
+    /// tree name, with the DAG executor as its driver.
     fn execute(
         &self,
         sub: &Submission,
         recovered: bool,
         referenced: &BTreeSet<PathBuf>,
     ) -> Result<Exec, ServeError> {
-        let spec = match ExperimentSpec::from_dir(Path::new(&sub.experiment)) {
+        let failed = |msg: String| {
+            eprintln!("pos-serve: #{}: {msg}", sub.id);
+            Ok(Exec::Done {
+                outcome: CompletionOutcome::Failed,
+                result_dir: String::new(),
+            })
+        };
+        let exp_dir = Path::new(&sub.experiment);
+        let spec = match ExperimentSpec::from_dir(exp_dir) {
             Ok(spec) => spec,
             Err(e) => {
-                eprintln!(
-                    "pos-serve: #{}: cannot load experiment from {}: {e}",
-                    sub.id, sub.experiment
-                );
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
+                return failed(format!(
+                    "cannot load experiment from {}: {e}",
+                    sub.experiment
+                ))
             }
         };
         if let Err(e) = spec.validate() {
-            eprintln!("pos-serve: #{}: invalid experiment: {e}", sub.id);
-            return Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: String::new(),
-            });
+            return failed(format!("invalid experiment: {e}"));
         }
-        // A submission whose experiment dir carries a dag.yml is a DAG
-        // campaign: same ledger, same recovery settlement, but the
-        // result tree is a DAG tree driven by the DAG executor.
-        if DagSpec::present_in(Path::new(&sub.experiment)) {
-            return self.execute_dag(sub, &spec, recovered, referenced);
-        }
+        let dag = if DagSpec::present_in(exp_dir) {
+            match DagSpec::from_dir(exp_dir)
+                .map_err(DagError::from)
+                .and_then(|dag| dag.validate().map(|()| dag))
+            {
+                Ok(dag) => Some(dag),
+                Err(e) => return failed(format!("invalid DAG in {}: {e}", sub.experiment)),
+            }
+        } else {
+            None
+        };
+        let name = dag.as_ref().map_or(&spec.name, |dag| &dag.name);
+        let mut opts = self.run_options(&spec);
+        let lanes = self.opts.lanes.max(1);
         if recovered {
-            match self.unclaimed_tree(&spec.user, &spec.name, referenced) {
+            match self.unclaimed_tree(&spec.user, name, referenced) {
                 Some((dir, CampaignDiskState::Finished { failed, .. })) => {
                     // Crash after campaign completion, before the ledger
                     // append: the tree is done and sealed — adopt it.
@@ -673,7 +681,11 @@ impl ServeEngine {
                     });
                 }
                 Some((dir, CampaignDiskState::InProgress { .. })) => {
-                    return self.resume_tree(&dir);
+                    // Completes the interrupted tree on the identity its
+                    // journal records.
+                    let res = Tree::open(&dir, |_| None)
+                        .and_then(|tree| tree.resume(&opts, lanes, lanes, lanes, self.observer()));
+                    return self.classify(res, false, &dir);
                 }
                 Some((dir, CampaignDiskState::NoJournal)) => {
                     // Scaffolding husk with no durable record: wipe it so
@@ -695,162 +707,45 @@ impl ServeEngine {
                 None => {}
             }
         }
-        self.fresh_run(&spec)
-    }
 
-    /// Executes (or settles) one DAG submission. The settlement logic
-    /// is the campaign one — [`pos_core::journal::campaign_disk_state`]
-    /// reads DAG journals too — keyed on the *DAG's* tree name.
-    fn execute_dag(
-        &self,
-        sub: &Submission,
-        spec: &ExperimentSpec,
-        recovered: bool,
-        referenced: &BTreeSet<PathBuf>,
-    ) -> Result<Exec, ServeError> {
-        let dag = match DagSpec::from_dir(Path::new(&sub.experiment)) {
-            Ok(dag) => dag,
-            Err(e) => {
-                eprintln!(
-                    "pos-serve: #{}: cannot load DAG from {}: {e}",
-                    sub.id, sub.experiment
-                );
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
-            }
-        };
-        if let Err(e) = dag.validate() {
-            eprintln!("pos-serve: #{}: invalid DAG: {e}", sub.id);
-            return Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: String::new(),
-            });
-        }
-        if recovered {
-            match self.unclaimed_tree(&spec.user, &dag.name, referenced) {
-                Some((dir, CampaignDiskState::Finished { failed, .. })) => {
-                    let outcome = if failed == 0 {
-                        CompletionOutcome::Completed
-                    } else {
-                        CompletionOutcome::CompletedDegraded
-                    };
-                    return Ok(Exec::Done {
-                        outcome,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                Some((dir, CampaignDiskState::InProgress { .. })) => {
-                    return self.resume_dag_tree(&dir);
-                }
-                Some((dir, CampaignDiskState::NoJournal)) => {
-                    std::fs::remove_dir_all(&dir)?;
-                }
-                Some((dir, CampaignDiskState::Unreadable(reason))) => {
-                    eprintln!(
-                        "pos-serve: #{}: DAG tree {} unreadable: {reason}",
-                        sub.id,
-                        dir.display()
-                    );
-                    return Ok(Exec::Done {
-                        outcome: CompletionOutcome::Failed,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                None => {}
-            }
-        }
-        self.fresh_dag_run(spec, &dag)
-    }
-
-    fn fresh_dag_run(&self, spec: &ExperimentSpec, dag: &DagSpec) -> Result<Exec, ServeError> {
-        let opts = self.run_options(&self.results_root, spec);
         let injected = self
             .campaign_crash
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .take();
-        let armed = injected.is_some();
-        let lanes = self.opts.lanes.max(1);
-        let mut dopts = DagOptions::new(lanes, self.opts.seed);
-        if let Some((after, torn)) = injected {
-            // The armed "machine death" hits the DAG's own journal —
-            // the outermost write-ahead layer of a DAG campaign.
-            dopts.dag_crash_after = after;
-            dopts.dag_torn_write = torn;
-        }
-        let mut target = InProcessTarget::new(self.opts.seed, false, lanes);
-        self.classify_dag(run_dag(dag, spec, &opts, &dopts, &mut target), armed)
-    }
-
-    /// Completes an interrupted DAG tree through `pos dag resume`,
-    /// rebuilding the execution target the journal recorded.
-    fn resume_dag_tree(&self, dir: &Path) -> Result<Exec, ServeError> {
-        let failed = |msg: String| {
-            eprintln!("pos-serve: cannot resume DAG {}: {msg}", dir.display());
-            Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: dir.display().to_string(),
-            })
-        };
-        let replay = match Journal::replay(&dir.join(JOURNAL_FILE)) {
-            Ok(replay) => replay,
-            Err(e) => return failed(e.to_string()),
-        };
-        let Some(JournalRecord::DagStarted { seed, target, .. }) = replay.dag_start() else {
-            return failed("journal has no DagStarted record".into());
-        };
-        let (seed, target_name) = (*seed, target.clone());
-        let spec = match ExperimentSpec::from_dir(&dir.join("experiment")) {
-            Ok(spec) => spec,
-            Err(e) => return failed(format!("stored experiment unloadable: {e}")),
-        };
-        let opts = self.run_options(&self.results_root, &spec);
-        let lanes = self.opts.lanes.max(1);
-        let dopts = DagOptions::new(lanes, seed);
-        let mut target: Box<dyn ExecutionTarget> = match target_name.as_str() {
-            "in-process" => Box::new(InProcessTarget::new(seed, false, lanes)),
-            "sim-batch" => Box::new(SimBatchTarget::new(seed, false, lanes)),
-            other => return failed(format!("unknown execution target `{other}`")),
-        };
-        self.classify_dag(resume_dag(dir, &opts, &dopts, target.as_mut()), false)
-    }
-
-    /// [`Self::classify`] for DAG executions.
-    fn classify_dag(
-        &self,
-        res: Result<DagOutcome, DagError>,
-        injection_armed: bool,
-    ) -> Result<Exec, ServeError> {
-        match res {
-            Ok(out) => {
-                let outcome = if out.failed_runs == 0 {
-                    CompletionOutcome::Completed
-                } else {
-                    CompletionOutcome::CompletedDegraded
+        let (crash_after, torn) = injected.unwrap_or((None, false));
+        let seed = self.opts.seed;
+        let res = match &dag {
+            None => {
+                opts.journal_crash_after = crash_after;
+                opts.journal_torn_write = torn;
+                let popts = ParallelOptions {
+                    supervisor: SupervisorOptions {
+                        grace_factor: self.opts.grace_factor,
+                        ..SupervisorOptions::default()
+                    },
+                    ..ParallelOptions::new(lanes)
                 };
-                Ok(Exec::Done {
-                    outcome,
-                    result_dir: out.dag_dir.display().to_string(),
-                })
+                case_study_testbed(&spec, seed, false, true)
+                    .and_then(|tb| {
+                        let mut lane0 = Controller::owning(tb).with_progress(self.observer());
+                        let mut make_lane = case_study_lanes(&spec, seed, false);
+                        run_campaign(&mut lane0, &spec, &opts, &popts, &mut make_lane)
+                    })
+                    .map(Launched::Campaign)
+                    .map_err(DagError::from)
             }
-            Err(e) if e.is_checkpoint() => Ok(Exec::Checkpointed),
-            Err(e) if injection_armed && is_injected_dag_death(&e) => {
-                self.dead.store(true, Ordering::SeqCst);
-                Err(ServeError::Died {
-                    context: "DAG journal append".into(),
-                    source: io::Error::new(io::ErrorKind::Interrupted, e.to_string()),
-                })
+            Some(dag) => {
+                // The armed "machine death" hits the DAG's own journal —
+                // the outermost write-ahead layer of a DAG campaign.
+                let mut dopts = DagOptions::new(lanes, seed);
+                dopts.dag_crash_after = crash_after;
+                dopts.dag_torn_write = torn;
+                let mut target = InProcessTarget::new(seed, false, lanes);
+                run_dag(dag, &spec, &opts, &dopts, &mut target).map(Launched::Dag)
             }
-            Err(e) => {
-                eprintln!("pos-serve: DAG campaign failed: {e}");
-                Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                })
-            }
-        }
+        };
+        self.classify(res, injected.is_some(), Path::new(""))
     }
 
     /// The youngest result tree under `<root>/<user>/<name>` not yet
@@ -880,8 +775,8 @@ impl ServeEngine {
     /// the drain cancel token, and clamp the command watchdog to the
     /// campaign's grace budget (`grace_factor ×` the spec's planned
     /// duration) when that is tighter than the stock timeout.
-    fn run_options(&self, root: &Path, spec: &ExperimentSpec) -> RunOptions {
-        let mut opts = RunOptions::new(root);
+    fn run_options(&self, spec: &ExperimentSpec) -> RunOptions {
+        let mut opts = RunOptions::new(&self.results_root);
         opts.testbed_flavor = "pos".into();
         opts.continue_on_run_failure = true;
         opts.cancel = self.cancel.clone();
@@ -894,117 +789,33 @@ impl ServeEngine {
         opts
     }
 
-    fn fresh_run(&self, spec: &ExperimentSpec) -> Result<Exec, ServeError> {
-        let mut opts = self.run_options(&self.results_root, spec);
-        let injected = self
-            .campaign_crash
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        let armed = injected.is_some();
-        if let Some((after, torn)) = injected {
-            opts.journal_crash_after = after;
-            opts.journal_torn_write = torn;
-        }
-        let seed = self.opts.seed;
-        let Some(mut lane0) = self.lane0(spec, seed, false) else {
-            return Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: String::new(),
-            });
-        };
-        let popts = ParallelOptions {
-            supervisor: SupervisorOptions {
-                grace_factor: self.opts.grace_factor,
-                ..SupervisorOptions::default()
-            },
-            ..ParallelOptions::new(self.opts.lanes.max(1))
-        };
-        let res = run_campaign(&mut lane0, spec, &opts, &popts, &mut |_, flavor| {
-            case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
-        });
-        self.classify(res.map(|o| o.outcome), armed)
+    /// Lane 0's progress callback: feeds the daemon's counters.
+    fn observer(&self) -> impl FnMut(&Progress) + 'static {
+        let counters = self.progress.clone();
+        move |p| counters.observe(p)
     }
 
-    /// Lane 0 of a daemon campaign: the campaign testbed under a
-    /// controller that feeds the daemon's progress counters. `None`
-    /// (logged) when the testbed cannot be built.
-    fn lane0(
-        &self,
-        spec: &ExperimentSpec,
-        seed: u64,
-        virtualized: bool,
-    ) -> Option<Controller<'static>> {
-        match case_study_testbed(spec, seed, virtualized, true) {
-            Ok(tb) => {
-                let counters = self.progress.clone();
-                Some(Controller::owning(tb).with_progress(move |p| counters.observe(p)))
-            }
-            Err(e) => {
-                eprintln!("pos-serve: testbed construction failed: {e}");
-                None
-            }
-        }
-    }
-
-    /// Completes an interrupted result tree through the `pos resume`
-    /// machinery, on the lanes its journal records.
-    fn resume_tree(&self, dir: &Path) -> Result<Exec, ServeError> {
-        let failed = |msg: String| {
-            eprintln!("pos-serve: cannot resume {}: {msg}", dir.display());
-            Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: dir.display().to_string(),
-            })
-        };
-        let replay = match Journal::replay(&dir.join(JOURNAL_FILE)) {
-            Ok(replay) => replay,
-            Err(e) => return failed(e.to_string()),
-        };
-        let Some(JournalRecord::CampaignStarted { seed, testbed, .. }) = replay.campaign_start()
-        else {
-            return failed("journal has no CampaignStarted record".into());
-        };
-        let (seed, virtualized) = (*seed, testbed == "vpos");
-        // The tree's own stored spec is the authoritative one on resume.
-        let spec = match ExperimentSpec::from_dir(&dir.join("experiment")) {
-            Ok(spec) => spec,
-            Err(e) => return failed(format!("stored experiment unloadable: {e}")),
-        };
-        let opts = self.run_options(dir, &spec);
-        let Some(mut lane0) = self.lane0(&spec, seed, virtualized) else {
-            return failed("testbed construction failed".into());
-        };
-        let res = resume_campaign(&mut lane0, dir, &spec, &opts, &mut |_, flavor| {
-            case_study_testbed(
-                &spec,
-                seed,
-                virtualized || flavor == LaneFlavor::Virtual,
-                true,
-            )
-        });
-        self.classify(res.map(|o| o.outcome), false)
-    }
-
-    /// Folds a campaign result into the daemon's vocabulary: clean or
-    /// degraded completion, consistent checkpoint, injected daemon
-    /// death, or a plain failed campaign (which the daemon records and
-    /// outlives).
+    /// Folds a campaign or DAG result into the daemon's vocabulary:
+    /// clean or degraded completion, consistent checkpoint, injected
+    /// daemon death, or a plain failed campaign (which the daemon
+    /// records and outlives; `tree` is the result tree it claims, empty
+    /// when it never had one).
     fn classify(
         &self,
-        res: Result<ExperimentOutcome, ControllerError>,
+        res: Result<Launched, DagError>,
         injection_armed: bool,
+        tree: &Path,
     ) -> Result<Exec, ServeError> {
         match res {
             Ok(out) => {
-                let outcome = if out.failed_runs.is_empty() && out.quarantined_runs.is_empty() {
-                    CompletionOutcome::Completed
-                } else {
+                let outcome = if out.is_degraded() {
                     CompletionOutcome::CompletedDegraded
+                } else {
+                    CompletionOutcome::Completed
                 };
                 Ok(Exec::Done {
                     outcome,
-                    result_dir: out.result_dir.display().to_string(),
+                    result_dir: out.result_dir().display().to_string(),
                 })
             }
             Err(e) if e.is_checkpoint() => Ok(Exec::Checkpointed),
@@ -1022,7 +833,7 @@ impl ServeEngine {
                 eprintln!("pos-serve: campaign failed: {e}");
                 Ok(Exec::Done {
                     outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
+                    result_dir: tree.display().to_string(),
                 })
             }
         }
@@ -1142,22 +953,15 @@ fn referenced_dirs(finished: &[FinishedRec]) -> BTreeSet<PathBuf> {
 
 /// True for the error an *armed* campaign-journal crash injection
 /// raises ([`io::ErrorKind::Interrupted`], which nothing in the
-/// simulated testbed produces organically).
-fn is_injected_death(e: &ControllerError) -> bool {
+/// simulated testbed produces organically), on a DAG's journal or a
+/// campaign's.
+fn is_injected_death(e: &DagError) -> bool {
+    let interrupted = |err: &io::Error| err.kind() == io::ErrorKind::Interrupted;
     match e {
-        ControllerError::Io(err) => err.kind() == io::ErrorKind::Interrupted,
-        ControllerError::Journal(JournalError::Io(err)) => err.kind() == io::ErrorKind::Interrupted,
-        _ => false,
-    }
-}
-
-/// [`is_injected_death`] for DAG executions: the armed crash may fire
-/// on the DAG journal itself or inside a sweep's campaign journal.
-fn is_injected_dag_death(e: &DagError) -> bool {
-    match e {
-        DagError::Io(err) => err.kind() == io::ErrorKind::Interrupted,
-        DagError::Journal(JournalError::Io(err)) => err.kind() == io::ErrorKind::Interrupted,
-        DagError::Controller(inner) => is_injected_death(inner),
+        DagError::Io(err)
+        | DagError::Journal(JournalError::Io(err))
+        | DagError::Controller(ControllerError::Io(err))
+        | DagError::Controller(ControllerError::Journal(JournalError::Io(err))) => interrupted(err),
         _ => false,
     }
 }

@@ -168,8 +168,9 @@ rm -rf "$ONE_DIR"
 
 # DAG smoke, end to end through the CLI: scaffold the 3-stage case-study
 # DAG, check `pos dag viz` golden lines in both formats, run it small at 2
-# lanes, viz + fsck the result tree, and resume (a complete tree must be a
-# verified no-op fast-forward, not a rerun).
+# lanes on a non-default seed, viz + fsck the result tree, and resume with
+# no flags (a complete tree must be a verified no-op fast-forward, not a
+# rerun, on the seed its journal records).
 echo "==> dag smoke (pos dag init + viz golden + run + fsck + resume)"
 DAG_DIR=$(mktemp -d)
 "$POS" dag init "$DAG_DIR/exp" >/dev/null
@@ -202,7 +203,7 @@ dut_ip0: 10.0.0.1
 dut_ip1: 10.0.1.1
 run_secs: 1
 EOF
-"$POS" dag run "$DAG_DIR/exp" --results "$DAG_DIR/res" --lanes 2 >/dev/null
+"$POS" dag run "$DAG_DIR/exp" --results "$DAG_DIR/res" --lanes 2 --seed 5 >/dev/null
 DAG_TREE=$(dirname "$(find "$DAG_DIR/res" -name dag.yml)")
 test -s "$DAG_TREE/stage-eval/figures/eval.svg"
 "$POS" dag viz "$DAG_TREE" | grep -q 'wave 0: \[setup setup\]' || {

@@ -10,8 +10,8 @@
 //!     --results <root>     result tree root       (default: ./results)
 //!     --testbed pos|vpos   hardware or VM testbed (default: pos)
 //!     --seed <n>           testbed seed           (default: 1799)
-//! pos resume <result-dir> [options]     pick up an interrupted campaign
-//!     --testbed pos|vpos   hardware or VM testbed (default: pos)
+//! pos resume <result-dir> [options]     pick up an interrupted tree
+//!     --lanes <n>          DAG lanes per scatter group (default: 1)
 //! pos serve [options]                   crash-surviving campaign daemon
 //!     --state <dir>        ledger + snapshots     (default: ./serve-state)
 //!     --listen <addr>      HTTP endpoint          (default: 127.0.0.1:0)
@@ -30,24 +30,26 @@
 //! Argument parsing is deliberately hand-rolled: the CLI's needs are a
 //! dozen flags, not a dependency.
 
-use pos::core::commands::case_study_testbed;
-use pos::core::controller::{Controller, ControllerError, ExperimentOutcome, Progress, RunOptions};
+use pos::core::commands::{case_study_lanes, case_study_testbed};
+use pos::core::controller::{Controller, ExperimentOutcome, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::{Journal, JournalRecord, JOURNAL_FILE, LEDGER_FILE};
+use pos::core::journal::{JOURNAL_FILE, LEDGER_FILE};
 use pos::core::vfs::{FaultPlan, Vfs};
-use pos::dag::DagSpec;
+use pos::dag::launch::{self, Kind, Launched, Tree};
+use pos::dag::{DagError, DagSpec};
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    resume_campaign, run_campaign, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery,
-    ParallelOptions, ParallelOutcome, SubmissionQueue,
+    run_campaign, CompletionOutcome, LaneFaultPlan, LaneRecovery, ParallelOptions, ParallelOutcome,
+    SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
     ServeOptions, ServeStatus, SubmitAck, SubmitRequest,
 };
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -93,8 +95,11 @@ fn restore_default_sigpipe() {}
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `pos run ... | head` must end quietly when the reader goes away.
-    // The daemon and its client talk HTTP and need EPIPE as an error.
-    if !matches!(args.first().map(String::as_str), Some("serve" | "queue")) {
+    // The daemon needs EPIPE as an error from a client that hung up. The
+    // `queue --daemon` client's socket writes get EPIPE as an error
+    // anyway (std sends with MSG_NOSIGNAL), so only its stdout sees the
+    // default action.
+    if args.first().map(String::as_str) != Some("serve") {
         restore_default_sigpipe();
     }
     let result = match args.first().map(String::as_str) {
@@ -148,7 +153,9 @@ fn usage() -> &'static str {
      \x20         [--disk-faults <json-file>]            injected storage faults\n\
      \x20         exit codes: 0 ok, 1 error, 3 degraded completion\n\
      \x20         (3 also means: out of disk space, checkpointed — resumable)\n\
-     \x20 pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <json-file>]\n\
+     \x20 pos resume <result-dir> [--lanes <n>] [--site-replicas <n>] [--partition <n>]\n\
+     \x20         [--disk-faults <json-file>]   complete a campaign or DAG tree on\n\
+     \x20         the seed, testbed and target its journal records\n\
      \x20 pos serve [--state <dir>] [--results <root>] [--listen <addr>]\n\
      \x20         [--capacity <n>] [--user-backlog <n>] [--seed <n>] [--lanes <n>]\n\
      \x20         crash-surviving daemon: journals before acknowledging, survives\n\
@@ -164,7 +171,8 @@ fn usage() -> &'static str {
      \x20         [--testbed pos|vpos] [--site-replicas <n>]\n\
      \x20         [--target in-process|sim-batch] [--partition <n>]\n\
      \x20         [--disk-faults <json-file>]  execute an experiment DAG\n\
-     \x20 pos dag resume <result-dir> [--seed <n>] [--lanes <n>] [same flags]\n\
+     \x20 pos dag resume <result-dir> [--lanes <n>] [--site-replicas <n>] [--partition <n>]\n\
+     \x20         [--disk-faults <json-file>]   the same as pos resume\n\
      \x20 pos dag viz <dir> [--format ascii|dot]   render DAG (+ testbed) graph\n\
      \x20 pos fsck <result-dir | serve-state> verify journals + checksums / ledger\n\
      \x20         (DAG trees are audited per node: stranded scatter groups,\n\
@@ -175,12 +183,13 @@ fn usage() -> &'static str {
      \x20 pos table1                         print the testbed comparison\n"
 }
 
+/// `--flag value` options by flag name.
+type Opts<'a> = BTreeMap<&'a str, &'a str>;
+
 /// Splits `args` into positionals and `--flag value` options.
-fn parse_opts(
-    args: &[String],
-) -> Result<(Vec<&str>, std::collections::BTreeMap<&str, &str>), String> {
+fn parse_opts(args: &[String]) -> Result<(Vec<&str>, Opts<'_>), String> {
     let mut positional = Vec::new();
-    let mut opts = std::collections::BTreeMap::new();
+    let mut opts = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(flag) = args[i].strip_prefix("--") {
@@ -195,6 +204,51 @@ fn parse_opts(
         }
     }
     Ok((positional, opts))
+}
+
+/// `--seed <n>`, the testbed seed (default 1799).
+fn seed_flag(opts: &Opts) -> Result<u64, String> {
+    opts.get("seed")
+        .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
+        .transpose()
+        .map(|seed| seed.unwrap_or(0x707))
+}
+
+/// `--testbed pos|vpos` (default pos): true for the virtualized one.
+fn testbed_flag(opts: &Opts) -> Result<bool, String> {
+    let label = opts.get("testbed").copied().unwrap_or("pos");
+    launch::is_virtual(label).ok_or_else(|| format!("--testbed must be pos or vpos, got {label}"))
+}
+
+/// `--lanes <n>` (default 1), `--site-replicas <n>` (default: the
+/// lanes) and `--partition <n>` (default: the site replicas).
+fn lane_flags(opts: &Opts) -> Result<(usize, usize, usize), String> {
+    let count = |flag: &str, default: usize| -> Result<usize, String> {
+        opts.get(flag)
+            .map(|s| s.parse().map_err(|_| format!("bad --{flag} {s}")))
+            .transpose()
+            .map(|n| n.unwrap_or(default))
+    };
+    let lanes = count("lanes", 1)?;
+    if lanes == 0 {
+        return Err("--lanes must be at least 1".into());
+    }
+    let site_replicas = count("site-replicas", lanes)?;
+    Ok((lanes, site_replicas, count("partition", site_replicas)?))
+}
+
+/// Run options under `root`, on a faulty [`Vfs`] armed with the
+/// serialized [`FaultPlan`] `--disk-faults` names.
+fn run_options(root: &Path, opts: &Opts) -> Result<RunOptions, String> {
+    let mut run_opts = RunOptions::new(root);
+    if let Some(&file) = opts.get("disk-faults") {
+        let json = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read --disk-faults {file}: {e}"))?;
+        let plan: FaultPlan = serde_json::from_str(&json)
+            .map_err(|e| format!("{file} is not a valid disk fault plan: {e}"))?;
+        run_opts.vfs = Vfs::faulty(plan).map_err(|e| format!("{file}: {e}"))?;
+    }
+    Ok(run_opts)
 }
 
 fn cmd_init(args: &[String]) -> Result<(), String> {
@@ -231,40 +285,16 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
     spec.validate().map_err(|e| e.to_string())?;
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-        .transpose()?
-        .unwrap_or(0x707);
-    let virtualized = match opts.get("testbed").copied().unwrap_or("pos") {
-        "pos" => false,
-        "vpos" => true,
-        other => return Err(format!("--testbed must be pos or vpos, got {other}")),
-    };
+    let seed = seed_flag(&opts)?;
+    let virtualized = testbed_flag(&opts)?;
+    let (lanes, site_replicas, _) = lane_flags(&opts)?;
 
-    let lanes: usize = opts
-        .get("lanes")
-        .map(|s| s.parse().map_err(|_| format!("bad --lanes {s}")))
-        .transpose()?
-        .unwrap_or(1);
-    if lanes == 0 {
-        return Err("--lanes must be at least 1".into());
-    }
-    let site_replicas: usize = opts
-        .get("site-replicas")
-        .map(|s| s.parse().map_err(|_| format!("bad --site-replicas {s}")))
-        .transpose()?
-        .unwrap_or(lanes);
-
-    let mut run_opts = RunOptions::new(&results);
+    let mut run_opts = run_options(&results, &opts)?;
     run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
     if let Some(&n) = opts.get("max-run-retries") {
         run_opts.max_run_retries = n
             .parse()
             .map_err(|_| format!("bad --max-run-retries {n}"))?;
-    }
-    if let Some(&file) = opts.get("disk-faults") {
-        run_opts.vfs = load_disk_faults(file)?;
     }
 
     let mut supervisor = pos::sched::SupervisorOptions::default();
@@ -334,45 +364,29 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
         &spec,
         &run_opts,
         &popts,
-        &mut |_, flavor| {
-            case_study_testbed(
-                &spec,
-                seed,
-                virtualized || flavor == LaneFlavor::Virtual,
-                true,
-            )
-        },
+        &mut case_study_lanes(&spec, seed, virtualized),
     ) {
         Ok(out) => out,
-        Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
+        Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
     };
     print_campaign_outcome(&out, supervised);
-    Ok(completion_of(&out.outcome))
-}
-
-/// Loads a serialized [`FaultPlan`] and arms a faulty [`Vfs`] with it.
-fn load_disk_faults(file: &str) -> Result<Vfs, String> {
-    let json = std::fs::read_to_string(file)
-        .map_err(|e| format!("cannot read --disk-faults {file}: {e}"))?;
-    let plan: FaultPlan = serde_json::from_str(&json)
-        .map_err(|e| format!("{file} is not a valid disk fault plan: {e}"))?;
-    Vfs::faulty(plan).map_err(|e| format!("{file}: {e}"))
+    Ok(completion_of(&Launched::Campaign(out)))
 }
 
 /// The checkpoint contract: running out of disk space or being
 /// cooperatively canceled (a draining daemon's second SIGTERM) is a
 /// *graceful* degradation, not an abort. The write-ahead journal
 /// guarantees the tree is consistent at the last appended record, so
-/// the campaign is a checkpoint — `pos resume` completes it once space
-/// returns or the urgency passes. Any other error stays a hard error
-/// (exit 1).
-fn checkpointed_or_error(e: ControllerError, resume_at: &str) -> Result<Completion, String> {
+/// the campaign or DAG is a checkpoint — `pos resume` completes it once
+/// space returns or the urgency passes. Any other error stays a hard
+/// error (exit 1).
+fn checkpointed_or_error(e: DagError, resume_at: &str) -> Result<Completion, String> {
     if !e.is_checkpoint() {
         return Err(e.to_string());
     }
     eprintln!("pos: checkpointed: {e}");
     eprintln!(
-        "pos: campaign checkpointed at the last consistent journal boundary; \
+        "pos: tree checkpointed at the last consistent journal boundary; \
          run `pos resume {resume_at}` to complete"
     );
     Ok(Completion::Degraded)
@@ -408,13 +422,13 @@ fn resume_hint(root: &Path) -> String {
         .unwrap_or_else(|| format!("{}", root.display()))
 }
 
-/// The degraded-exit-code contract: a campaign that completed but
-/// recorded failed or quarantined runs exits with code 3.
-fn completion_of(outcome: &ExperimentOutcome) -> Completion {
-    if outcome.failed_runs.is_empty() && outcome.quarantined_runs.is_empty() {
-        Completion::Clean
-    } else {
+/// The degraded-exit-code contract: a campaign or DAG that completed
+/// but recorded failed or quarantined runs exits with code 3.
+fn completion_of(out: &Launched) -> Completion {
+    if out.is_degraded() {
         Completion::Degraded
+    } else {
+        Completion::Clean
     }
 }
 
@@ -515,102 +529,62 @@ fn print_outcome(outcome: &ExperimentOutcome) {
     println!("next: pos eval {}", outcome.result_dir.display());
 }
 
+/// `pos resume` and `pos dag resume`: complete an interrupted (or
+/// repair a damaged) tree of either kind on the seed, testbed and
+/// target its journal records. A finished campaign is only off-limits
+/// while it is *intact*; a complete DAG fast-forwards every verified
+/// stage.
 fn cmd_resume(args: &[String]) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
     let [dir] = pos_args.as_slice() else {
         return Err(
-            "usage: pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <file>]".into(),
+            "usage: pos resume <result-dir> [--lanes <n>] [--site-replicas <n>] \
+                    [--partition <n>] [--disk-faults <file>]"
+                .into(),
         );
     };
     let result_dir = Path::new(dir);
-    let vfs = match opts.get("disk-faults") {
-        Some(&file) => load_disk_faults(file)?,
-        None => Vfs::real(),
-    };
-
-    // The campaign's identity lives in its journal: the testbed seed and
-    // flavor to rebuild with, and the spec digest resume re-checks for us.
-    let replay = Journal::replay(&result_dir.join(JOURNAL_FILE)).map_err(|e| e.to_string())?;
-    let Some(JournalRecord::CampaignStarted {
-        seed,
-        total_runs,
-        testbed,
-        ..
-    }) = replay.campaign_start()
-    else {
-        return Err(format!("{dir}: journal has no CampaignStarted record"));
-    };
-    let virtualized = match testbed.as_str() {
-        "pos" => false,
-        "vpos" => true,
-        other => return Err(format!("{dir}: journal records unknown testbed `{other}`")),
-    };
-    if let Some(&flag) = opts.get("testbed") {
-        if flag != testbed {
-            return Err(format!(
-                "campaign ran on the `{testbed}` testbed; drop --testbed or pass --testbed {testbed}"
-            ));
+    let tree = Tree::open(result_dir, |flag| opts.get(flag).copied()).map_err(|e| e.to_string())?;
+    let (lanes, site_replicas, partition) = lane_flags(&opts)?;
+    match &tree.kind {
+        Kind::Campaign { total_runs } => {
+            if tree.finished {
+                // Resuming a damaged campaign is how bit rot gets repaired.
+                let report = pos::core::fsck::fsck(result_dir).map_err(|e| e.to_string())?;
+                if report.is_clean() {
+                    return Err(format!(
+                        "{dir}: campaign already finished, nothing to resume"
+                    ));
+                }
+                println!(
+                    "campaign finished but {} run(s) fail verification; repairing",
+                    report.broken_runs().len()
+                );
+            }
+            println!(
+                "resuming campaign {dir} on the {} testbed (seed {}, {total_runs} runs planned)...",
+                tree.testbed, tree.seed
+            );
         }
+        Kind::Dag { target } => println!(
+            "resuming DAG tree {dir} on the {} testbed ({lanes} lanes, seed {}, target {target})...",
+            tree.testbed, tree.seed
+        ),
     }
-    if replay.finished() {
-        // A finished campaign is only off-limits while it is *intact*;
-        // resuming a damaged one is how bit rot gets repaired.
-        let report = pos::core::fsck::fsck(result_dir).map_err(|e| e.to_string())?;
-        if report.is_clean() {
-            return Err(format!(
-                "{dir}: campaign already finished, nothing to resume"
-            ));
-        }
-        println!(
-            "campaign finished but {} run(s) fail verification; repairing",
-            report.broken_runs().len()
-        );
-    }
-    let spec = ExperimentSpec::from_dir(&result_dir.join("experiment"))
-        .map_err(|e| format!("cannot load stored experiment from {dir}/experiment: {e}"))?;
-    spec.validate().map_err(|e| e.to_string())?;
-
-    let mut tb = case_study_testbed(&spec, *seed, virtualized, true).map_err(|e| e.to_string())?;
-    println!(
-        "resuming `{}` on the {} testbed (seed {seed}, {total_runs} runs planned)...",
-        spec.name,
-        if virtualized { "vpos" } else { "pos" },
-    );
     // result_root is unused on resume (the tree already exists) but the
-    // options still carry timeouts and failure policy.
-    let mut run_opts = RunOptions::new(result_dir);
-    run_opts.testbed_flavor = testbed.clone();
-    run_opts.vfs = vfs;
-    let seed = *seed;
-    let out = match resume_campaign(
-        &mut Controller::new(&mut tb).with_progress(print_progress),
-        result_dir,
-        &spec,
-        &run_opts,
-        &mut |_, flavor| {
-            case_study_testbed(
-                &spec,
-                seed,
-                virtualized || flavor == LaneFlavor::Virtual,
-                true,
-            )
-        },
-    ) {
+    // options still carry timeouts, failure policy and storage faults.
+    let run_opts = run_options(result_dir, &opts)?;
+    let out = match tree.resume(&run_opts, lanes, site_replicas, partition, print_progress) {
         Ok(out) => out,
         Err(e) => return checkpointed_or_error(e, dir),
     };
-    print_campaign_outcome(&out, out.lanes > 1);
-    Ok(completion_of(&out.outcome))
+    match &out {
+        Launched::Campaign(out) => print_campaign_outcome(out, out.lanes > 1),
+        Launched::Dag(out) => print_dag_outcome(out),
+    }
+    Ok(completion_of(&out))
 }
 
-/// Multi-campaign admission: `pos queue submit|status|drain`.
-///
-/// The queue state lives in `<queue-dir>/queue.json` (default `queue/`),
-/// so submissions survive between invocations; `drain` closes the queue
-/// and runs every admitted campaign to completion, preemption-free, in
-/// fair-share order. The ledger is persisted through the same atomic
-/// write (temp sibling → fsync → rename → dir fsync) as every result
-/// artifact: a crash mid-save never leaves a torn queue.
 /// `pos serve` — the long-running, crash-surviving campaign daemon.
 ///
 /// Every state transition is journaled to the queue ledger *before* it
@@ -685,11 +659,7 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
 
 /// `pos queue … --daemon <addr>` — the same verbs, spoken over HTTP to
 /// a running `pos serve` daemon instead of the on-disk queue file.
-fn cmd_queue_daemon(
-    addr: &str,
-    pos_args: &[&str],
-    opts: &std::collections::BTreeMap<&str, &str>,
-) -> Result<Completion, String> {
+fn cmd_queue_daemon(addr: &str, pos_args: &[&str], opts: &Opts) -> Result<Completion, String> {
     let unreachable = |e: std::io::Error| format!("daemon at {addr} unreachable: {e}");
     match pos_args {
         ["submit", exp_dir] => {
@@ -785,6 +755,14 @@ fn cmd_queue_daemon(
     }
 }
 
+/// Multi-campaign admission: `pos queue submit|status|drain`.
+///
+/// The queue state lives in `<queue-dir>/queue.json` (default `queue/`),
+/// so submissions survive between invocations; `drain` closes the queue
+/// and runs every admitted campaign to completion, preemption-free, in
+/// fair-share order. The ledger is persisted through the same atomic
+/// write (temp sibling → fsync → rename → dir fsync) as every result
+/// artifact: a crash mid-save never leaves a torn queue.
 fn cmd_queue(args: &[String]) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
     if let Some(addr) = opts.get("daemon") {
@@ -976,7 +954,7 @@ fn cmd_dag(args: &[String]) -> Result<Completion, String> {
     match args.first().map(String::as_str) {
         Some("init") => cmd_dag_init(&args[1..]).map(|()| Completion::Clean),
         Some("run") => cmd_dag_run(&args[1..]),
-        Some("resume") => cmd_dag_resume(&args[1..]),
+        Some("resume") => cmd_resume(&args[1..]),
         Some("viz") => cmd_dag_viz(&args[1..]).map(|()| Completion::Clean),
         _ => Err(
             "usage: pos dag init <dir> | run <exp-dir> | resume <result-dir> | viz <dir>".into(),
@@ -1025,74 +1003,6 @@ fn load_dag(dir: &Path) -> Result<pos::dag::DagSpec, String> {
     }
 }
 
-/// The shared target/lane/seed flags of `pos dag run` and `pos dag
-/// resume`, resolved into run options, DAG options, and a target.
-fn dag_exec_setup(
-    opts: &std::collections::BTreeMap<&str, &str>,
-    results: &Path,
-) -> Result<
-    (
-        RunOptions,
-        pos::dag::DagOptions,
-        Box<dyn pos::dag::ExecutionTarget>,
-    ),
-    String,
-> {
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-        .transpose()?
-        .unwrap_or(0x707);
-    let lanes: usize = opts
-        .get("lanes")
-        .map(|s| s.parse().map_err(|_| format!("bad --lanes {s}")))
-        .transpose()?
-        .unwrap_or(1);
-    if lanes == 0 {
-        return Err("--lanes must be at least 1".into());
-    }
-    let virtualized = match opts.get("testbed").copied().unwrap_or("pos") {
-        "pos" => false,
-        "vpos" => true,
-        other => return Err(format!("--testbed must be pos or vpos, got {other}")),
-    };
-    let site_replicas: usize = opts
-        .get("site-replicas")
-        .map(|s| s.parse().map_err(|_| format!("bad --site-replicas {s}")))
-        .transpose()?
-        .unwrap_or(lanes);
-
-    let mut run_opts = RunOptions::new(results);
-    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
-    if let Some(&file) = opts.get("disk-faults") {
-        run_opts.vfs = load_disk_faults(file)?;
-    }
-
-    let target: Box<dyn pos::dag::ExecutionTarget> =
-        match opts.get("target").copied().unwrap_or("in-process") {
-            "in-process" | "inprocess" => Box::new(pos::dag::InProcessTarget::new(
-                seed,
-                virtualized,
-                site_replicas,
-            )),
-            "sim-batch" | "batch" => {
-                let partition: usize = opts
-                    .get("partition")
-                    .map(|s| s.parse().map_err(|_| format!("bad --partition {s}")))
-                    .transpose()?
-                    .unwrap_or(site_replicas);
-                Box::new(pos::dag::SimBatchTarget::new(seed, virtualized, partition))
-            }
-            other => {
-                return Err(format!(
-                    "--target must be in-process or sim-batch, got {other}"
-                ))
-            }
-        };
-
-    Ok((run_opts, pos::dag::DagOptions::new(lanes, seed), target))
-}
-
 /// Per-node lines, the target's job table, and the schedule summary.
 fn print_dag_outcome(out: &pos::dag::DagOutcome) {
     for node in &out.nodes {
@@ -1120,19 +1030,6 @@ fn print_dag_outcome(out: &pos::dag::DagOutcome) {
     println!("results: {}", out.dag_dir.display());
 }
 
-/// The DAG flavor of [`checkpointed_or_error`].
-fn dag_checkpointed_or_error(e: pos::dag::DagError, resume_at: &str) -> Result<Completion, String> {
-    if !e.is_checkpoint() {
-        return Err(e.to_string());
-    }
-    eprintln!("pos: checkpointed: {e}");
-    eprintln!(
-        "pos: DAG checkpointed at the last consistent journal boundary; \
-         run `pos dag resume {resume_at}` to complete"
-    );
-    Ok(Completion::Degraded)
-}
-
 fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
     let [dir] = pos_args.as_slice() else {
@@ -1146,55 +1043,28 @@ fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
     dag.validate().map_err(|e| e.to_string())?;
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let (run_opts, dag_opts, mut target) = dag_exec_setup(&opts, &results)?;
+    let seed = seed_flag(&opts)?;
+    let virtualized = testbed_flag(&opts)?;
+    let (lanes, site_replicas, partition) = lane_flags(&opts)?;
+    let label = opts.get("target").copied().unwrap_or("in-process");
+    let mut target = launch::target(label, seed, virtualized, site_replicas, partition)
+        .ok_or_else(|| format!("--target must be in-process or sim-batch, got {label}"))?;
+    let mut run_opts = run_options(&results, &opts)?;
+    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
     println!(
-        "running DAG `{}` ({} stages, {} lanes, seed {}, target {})...",
+        "running DAG `{}` ({} stages, {lanes} lanes, seed {seed}, target {})...",
         dag.name,
         dag.stages.len(),
-        dag_opts.lanes,
-        dag_opts.seed,
         target.name()
     );
     print!("{}", pos::dag::viz::render_ascii(&dag, Some(&spec)));
+    let dag_opts = pos::dag::DagOptions::new(lanes, seed);
     let out = match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, target.as_mut()) {
         Ok(out) => out,
-        Err(e) => return dag_checkpointed_or_error(e, &resume_hint(&results)),
+        Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
     };
     print_dag_outcome(&out);
-    Ok(if out.failed_runs == 0 {
-        Completion::Clean
-    } else {
-        Completion::Degraded
-    })
-}
-
-fn cmd_dag_resume(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
-    let [dir] = pos_args.as_slice() else {
-        return Err("usage: pos dag resume <result-dir> [options]".into());
-    };
-    let dag_dir = Path::new(dir);
-    // The resume root only matters for the options plumbing; the tree
-    // location is authoritative.
-    let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let (run_opts, dag_opts, mut target) = dag_exec_setup(&opts, &results)?;
-    println!(
-        "resuming DAG tree {} ({} lanes, seed {}, target {})...",
-        dag_dir.display(),
-        dag_opts.lanes,
-        dag_opts.seed,
-        target.name()
-    );
-    let out = match pos::dag::resume_dag(dag_dir, &run_opts, &dag_opts, target.as_mut()) {
-        Ok(out) => out,
-        Err(e) => return dag_checkpointed_or_error(e, dir),
-    };
-    print_dag_outcome(&out);
-    Ok(if out.failed_runs == 0 {
-        Completion::Clean
-    } else {
-        Completion::Degraded
-    })
+    Ok(completion_of(&Launched::Dag(out)))
 }
 
 fn cmd_dag_viz(args: &[String]) -> Result<(), String> {
@@ -1214,11 +1084,7 @@ fn cmd_dag_viz(args: &[String]) -> Result<(), String> {
     match opts.get("format").copied().unwrap_or("ascii") {
         "ascii" => print!("{}", pos::dag::viz::render_ascii(&dag, spec.as_ref())),
         "dot" => {
-            let seed: u64 = opts
-                .get("seed")
-                .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-                .transpose()?
-                .unwrap_or(0x707);
+            let seed = seed_flag(&opts)?;
             let topology = spec.as_ref().and_then(|s| {
                 case_study_testbed(s, seed, false, false)
                     .ok()

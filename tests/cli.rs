@@ -268,17 +268,15 @@ fn init_small_exp(dir: &Path) {
     .unwrap();
 }
 
-#[test]
-fn cli_run_into_a_closed_pipe_exits_quietly() {
+/// Spawns `pos args…`, reads the first stdout line, closes the pipe
+/// while the command is still printing, and returns that line and the
+/// command's whole stderr.
+fn first_line_then_close(dir: &Path, args: &[&str]) -> (String, String) {
     use std::io::{BufRead, BufReader, Read};
     use std::process::Stdio;
-    let dir = workdir("pipe");
-    init_small_exp(&dir);
-    // `pos run exp | head -1`: the reader takes one line and goes away
-    // while the campaign is still printing.
     let mut child = Command::new(pos_bin())
-        .args(["run", "exp", "--results", "res"])
-        .current_dir(&dir)
+        .args(args)
+        .current_dir(dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -287,7 +285,6 @@ fn cli_run_into_a_closed_pipe_exits_quietly() {
     BufReader::new(child.stdout.take().unwrap())
         .read_line(&mut first)
         .unwrap();
-    assert!(first.starts_with("running `"), "{first}");
     let mut stderr = String::new();
     child
         .stderr
@@ -296,11 +293,95 @@ fn cli_run_into_a_closed_pipe_exits_quietly() {
         .read_to_string(&mut stderr)
         .unwrap();
     child.wait().unwrap();
+    (first, stderr)
+}
+
+#[test]
+fn cli_run_into_a_closed_pipe_exits_quietly() {
+    let dir = workdir("pipe");
+    init_small_exp(&dir);
+    // `pos run exp | head -1`: the reader takes one line and goes away
+    // while the campaign is still printing.
+    let (first, stderr) = first_line_then_close(&dir, &["run", "exp", "--results", "res"]);
+    assert!(first.starts_with("running `"), "{first}");
     assert!(
         !stderr.contains("panicked"),
         "pos panicked on EPIPE: {stderr}"
     );
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
+/// `pos queue … | grep -q …` (a polling loop) closes the pipe early too.
+#[test]
+fn cli_queue_drain_into_a_closed_pipe_exits_quietly() {
+    let dir = workdir("queue-pipe");
+    init_small_exp(&dir);
+    for user in ["alice", "bob"] {
+        let (ok, _, stderr) = run(
+            &dir,
+            &["queue", "submit", "exp", "--user", user, "--queue", "q"],
+        );
+        assert!(ok, "submit failed: {stderr}");
+    }
+    let (first, stderr) = first_line_then_close(
+        &dir,
+        &["queue", "drain", "--queue", "q", "--results", "res"],
+    );
+    assert!(first.starts_with("draining 2 campaign(s)"), "{first}");
+    assert!(
+        !stderr.contains("panicked"),
+        "pos panicked on EPIPE: {stderr}"
+    );
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
+/// A DAG tree's seed, testbed and target come from its journal: a tree
+/// run with `--seed 5 --target sim-batch` resumes through either verb
+/// with no flags, and a repeated flag that differs from the journal is
+/// refused.
+#[test]
+fn cli_resume_takes_dag_identity_from_the_journal() {
+    let dir = workdir("dag-identity");
+    init_small_exp(&dir);
+    let (ok, _, stderr) = run(&dir, &["dag", "init", "exp"]);
+    assert!(ok, "dag init failed: {stderr}");
+    let (ok, stdout, stderr) = run(
+        &dir,
+        &[
+            "dag",
+            "run",
+            "exp",
+            "--results",
+            "res",
+            "--seed",
+            "5",
+            "--target",
+            "sim-batch",
+        ],
+    );
+    assert!(ok, "dag run failed: {stderr}");
+    let tree = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("results: "))
+        .expect("DAG tree printed")
+        .trim()
+        .to_owned();
+    for verb in [&["dag", "resume"][..], &["resume"]] {
+        let (ok, stdout, stderr) = run(&dir, &[verb, &[tree.as_str()]].concat());
+        assert!(ok, "`pos {}` failed: {stderr}", verb.join(" "));
+        assert_eq!(
+            stdout.matches("(verified, skipped)").count(),
+            3,
+            "`pos {}` must fast-forward all three stages:\n{stdout}",
+            verb.join(" ")
+        );
+    }
+    let (ok, _, stderr) = run(&dir, &["dag", "resume", &tree, "--seed", "6"]);
+    assert!(!ok, "a differing --seed must be refused");
+    assert!(stderr.contains("seed 5"), "{stderr}");
+    let (ok, _, stderr) = run(&dir, &["resume", &tree, "--target", "in-process"]);
+    assert!(!ok, "a differing --target must be refused");
+    assert!(stderr.contains("sim-batch"), "{stderr}");
 }
 
 fn result_dir_of(stdout: &str) -> String {
@@ -344,6 +425,15 @@ fn cli_vpos_resume_repairs_a_damaged_run() {
         pristine
     );
 
+    let (ok, _, stderr) = run(
+        &dir,
+        &["resume", tree.to_str().unwrap(), "--testbed", "pos"],
+    );
+    assert!(
+        !ok,
+        "a --testbed that differs from the journal must be refused"
+    );
+    assert!(stderr.contains("`vpos` testbed"), "{stderr}");
     let (ok, stdout, stderr) = run(&dir, &["resume", tree.to_str().unwrap()]);
     assert!(ok, "vpos resume failed: {stderr}");
     assert!(stdout.contains("vpos testbed"), "{stdout}");

@@ -8,6 +8,8 @@
 //!   their idempotency token, acknowledged ones deduplicated;
 //! * the same holds for a machine death at campaign-journal boundaries
 //!   while a dispatched campaign is executing;
+//! * a `dag.yml` submission leaves the tree a direct `run_dag` leaves,
+//!   and a machine death at every DAG-journal boundary converges to it;
 //! * SIGTERM drain semantics: a drained-empty daemon exits 0, a daemon
 //!   that leaves work pending (or checkpoints its in-flight campaign on
 //!   an urgent second signal) exits 3, and a later session finishes the
@@ -15,7 +17,10 @@
 //! * per-user backlog rejection carries a deterministic retry-after
 //!   hint, over the engine API and as an HTTP 429 `Retry-After` header.
 
+use pos::core::controller::RunOptions;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
+use pos::core::journal::{Journal, JOURNAL_FILE};
+use pos::dag::{linux_router_dag, run_dag, DagOptions, InProcessTarget};
 use pos::serve::{
     http_request, DrainAck, HttpServer, ServeEngine, ServeOptions, ServeStatus, StepOutcome,
     SubmitAck, SubmitRequest, SubmitResponse,
@@ -276,6 +281,65 @@ fn restart_matrix_converges_to_uninterrupted_trees() {
         if k <= 2 {
             assert!(crashed, "{what}: boundary {k} must be inside the campaign");
         }
+        assert_trees_identical(&reference, &results, &what);
+    }
+}
+
+/// A submission whose experiment dir carries a `dag.yml` runs as a DAG:
+/// the daemon's tree equals a direct `run_dag` on the in-process target
+/// at the daemon's seed and lane count, and killing the daemon at every
+/// DAG-journal append (torn on odd boundaries), then restarting, leaves
+/// that same tree.
+#[test]
+fn dag_submission_matches_run_dag_and_converges_after_journal_kills() {
+    let root = workdir("dag");
+    let dir = root.join("specs").join("exp-dag");
+    let spec = tiny_spec("carol", "exp-dag");
+    spec.to_dir(&dir).unwrap();
+    linux_router_dag().to_dir(&dir).unwrap();
+    let tenants = [Tenant {
+        user: "carol",
+        token: "tok-dag",
+        priority: 1,
+        dir,
+    }];
+
+    let seed = ServeOptions::new(&root, &root).seed;
+    let direct = root.join("results-direct");
+    let out = run_dag(
+        &linux_router_dag(),
+        &spec,
+        &RunOptions::new(&direct),
+        &DagOptions::new(1, seed),
+        &mut InProcessTarget::new(seed, false, 1),
+    )
+    .expect("direct DAG succeeds");
+    let reference = reference_trees(&root, &tenants);
+    assert_trees_identical(&direct, &reference, "daemon DAG vs run_dag");
+
+    let appends = Journal::replay(&out.dag_dir.join(JOURNAL_FILE))
+        .unwrap()
+        .records
+        .len() as u64;
+    // DagStarted, a NodeStarted/NodeFinished pair per stage, the
+    // gather's GatherSealed, DagFinished.
+    assert_eq!(appends, 9, "the DAG-journal census drifted");
+    for k in 0..appends {
+        let torn = k % 2 == 1;
+        let what = format!("DAG-journal boundary {k} (torn {torn})");
+        let state = root.join(format!("state-d{k}"));
+        let results = root.join(format!("results-d{k}"));
+        let crashed = crash_and_recover(
+            &state,
+            &results,
+            &tenants,
+            |o| {
+                o.campaign_crash_after = Some(k);
+                o.campaign_torn_write = torn;
+            },
+            &what,
+        );
+        assert!(crashed, "{what}: boundary {k} must be inside the DAG");
         assert_trees_identical(&reference, &results, &what);
     }
 }
