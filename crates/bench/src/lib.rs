@@ -348,31 +348,16 @@ pub mod robustness {
 /// Parallel scheduler benchmark: the §5 case-study sweep executed at
 /// 1/2/4/8 worker lanes, see the `parallel` binary.
 pub mod parallel {
-    use pos_core::commands::register_all;
+    use pos_core::commands::case_study_lanes;
     use pos_core::controller::RunOptions;
     use pos_core::experiment::{linux_router_experiment, ExperimentSpec};
     use pos_core::vars::VarValue;
     use pos_sched::{run_parallel, ParallelOptions};
-    use pos_testbed::{HardwareSpec, InitInterface, PortId, Testbed};
     use serde::Serialize;
 
     /// Seed for the benchmark campaign (arbitrary but fixed: same seed,
     /// same result tree at every lane count).
     pub const SEED: u64 = 21;
-
-    fn lane_testbed() -> Testbed {
-        let mut tb = Testbed::new(SEED);
-        tb.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-        tb.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-        tb.topology
-            .wire(PortId::new("vriga", 0), PortId::new("vtartu", 0))
-            .expect("fresh ports");
-        tb.topology
-            .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
-            .expect("fresh ports");
-        register_all(&mut tb);
-        tb
-    }
 
     /// The case-study sweep scaled by the bench knobs: `run_secs` per
     /// measurement run, `rate_steps` offered-rate points (× 2 packet
@@ -399,8 +384,6 @@ pub mod parallel {
     pub struct LaneReport {
         /// Worker lanes the campaign ran on.
         pub lanes: usize,
-        /// Lane flavors granted by the site calendar (`pos` / `vpos`).
-        pub flavors: Vec<String>,
         /// Measurement runs executed (all succeeded).
         pub runs: usize,
         /// Runs executed per lane.
@@ -424,9 +407,12 @@ pub mod parallel {
             std::env::temp_dir().join(format!("pos-bench-parallel-{lanes}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let opts = RunOptions::new(&root);
-        let out = run_parallel(&spec, &opts, &ParallelOptions::new(lanes), &mut |_, _| {
-            Ok(lane_testbed())
-        })
+        let out = run_parallel(
+            &spec,
+            &opts,
+            &ParallelOptions::new(lanes),
+            &mut case_study_lanes(&spec, SEED),
+        )
         .expect("chaos-free campaign succeeds");
         let _ = std::fs::remove_dir_all(&root);
         assert_eq!(
@@ -436,7 +422,6 @@ pub mod parallel {
         );
         LaneReport {
             lanes: out.lanes,
-            flavors: out.flavors.clone(),
             runs: out.outcome.runs.len(),
             runs_per_lane: out.lane_runs.iter().map(Vec::len).collect(),
             sequential_virtual_secs: out.sequential_elapsed.as_nanos() as f64 / 1e9,
@@ -533,7 +518,7 @@ pub mod dag {
             &spec,
             &RunOptions::new(&raw_root),
             &ParallelOptions::new(lanes),
-            &mut case_study_lanes(&spec, SEED, false),
+            &mut case_study_lanes(&spec, SEED),
         )
         .expect("raw sweep succeeds");
         let raw_sweep_wall_ms = raw_start.elapsed().as_secs_f64() * 1e3;
@@ -545,10 +530,10 @@ pub mod dag {
         let opts = RunOptions::new(&dag_root);
         let dag_start = Instant::now();
         let out = if batch {
-            let mut target = SimBatchTarget::new(SEED, false, lanes);
+            let mut target = SimBatchTarget::new(SEED, lanes);
             run_dag(&dag, &spec, &opts, &dopts, &mut target)
         } else {
-            let mut target = InProcessTarget::new(SEED, false, lanes);
+            let mut target = InProcessTarget::new(SEED, lanes);
             run_dag(&dag, &spec, &opts, &dopts, &mut target)
         }
         .expect("DAG execution succeeds");
@@ -607,39 +592,11 @@ pub mod dag {
 /// see the `robustness` binary.
 pub mod failover {
     use crate::parallel::{campaign_spec, SEED};
-    use pos_core::commands::register_all;
+    use pos_core::commands::case_study_lanes;
     use pos_core::controller::RunOptions;
     use pos_core::experiment::ExperimentSpec;
-    use pos_sched::{
-        run_parallel, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
-    };
-    use pos_testbed::{clone_virtual, CloneOptions, HardwareSpec, InitInterface, PortId, Testbed};
+    use pos_sched::{run_parallel, LaneDeath, LaneFaultPlan, LaneRecovery, ParallelOptions};
     use serde::Serialize;
-
-    fn lane_testbed(flavor: LaneFlavor) -> Testbed {
-        let mut tb = Testbed::new(SEED);
-        tb.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-        tb.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-        tb.topology
-            .wire(PortId::new("vriga", 0), PortId::new("vtartu", 0))
-            .expect("fresh ports");
-        tb.topology
-            .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
-            .expect("fresh ports");
-        let mut tb = if flavor == LaneFlavor::Virtual {
-            clone_virtual(
-                &tb,
-                CloneOptions {
-                    seed: Some(SEED),
-                    ..CloneOptions::default()
-                },
-            )
-        } else {
-            tb
-        };
-        register_all(&mut tb);
-        tb
-    }
 
     /// The failover half of `BENCH_robustness.json`: one campaign run
     /// per recovery policy, same injected lane death.
@@ -680,10 +637,8 @@ pub mod failover {
             std::env::temp_dir().join(format!("pos-bench-failover-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let opts = RunOptions::new(&root);
-        let out = run_parallel(spec, &opts, popts, &mut |_, flavor| {
-            Ok(lane_testbed(flavor))
-        })
-        .expect("failover campaign completes");
+        let out = run_parallel(spec, &opts, popts, &mut case_study_lanes(spec, SEED))
+            .expect("failover campaign completes");
         let _ = std::fs::remove_dir_all(&root);
         assert_eq!(
             out.outcome.successes(),
@@ -727,8 +682,7 @@ pub mod failover {
             .into_iter()
             .map(|recovery| {
                 let mut popts = ParallelOptions::new(lanes);
-                // One spare bare-metal replica set so the replacement
-                // keeps bare-metal fidelity.
+                // One spare replica set for the replacement lane.
                 popts.site_replicas = lanes + 1;
                 popts.supervisor.recovery = recovery;
                 popts.supervisor.fault_plan = LaneFaultPlan {

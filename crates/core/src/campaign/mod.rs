@@ -2,9 +2,9 @@
 //! `pos run` at any lane count, `pos serve`, a DAG sweep stage — runs
 //! through this one supervised lane loop.
 //!
-//! * [`plan`] — lane planning over the site calendar: one bare-metal
-//!   replica host set per lane where the calendar has them free (acquired
-//!   as an atomic batch), virtual clone replicas for the rest.
+//! * [`plan`] — lane planning over the site calendar: one replica host
+//!   set per lane, as many lanes as the calendar has sets free (acquired
+//!   as an atomic batch). Every lane runs the campaign's own testbed.
 //! * [`scheduler`] — the driver proper: the caller's controller is lane 0,
 //!   same-seed replicas are lanes 1.., runs are dispatched in run order to
 //!   the earliest-free lane and committed into the one `journal.log` and
@@ -21,7 +21,7 @@ pub mod plan;
 pub mod scheduler;
 pub mod supervisor;
 
-pub use plan::{plan_lanes, site_host_sets, LaneAllocation, LaneFlavor, ScatterLease};
+pub use plan::{plan_lanes, site_host_sets, LaneFlavor, ScatterLease};
 pub use scheduler::{
     resume_campaign, resume_parallel, run_campaign, run_parallel, ParallelOptions, ParallelOutcome,
 };

@@ -1,35 +1,46 @@
 //! Lane planning: turning "run this campaign on N lanes" into concrete
 //! allocations on the site calendar.
 //!
-//! The site owns a bounded pool of bare-metal replica host sets (in the
-//! paper's terms: additional identical machine groups wired like the
-//! primary one). A parallel campaign wants one host set per worker lane.
-//! The planner first tries to reserve all of them in one atomic batch
+//! The site owns a bounded pool of replica host sets (in the paper's
+//! terms: additional identical machine groups wired like the primary
+//! one). A parallel campaign wants one host set per worker lane. The
+//! planner first tries to reserve all of them in one atomic batch
 //! ([`pos_testbed::Calendar::reserve_batch`]); when the calendar cannot
-//! satisfy the full batch it falls back to grabbing whatever bare-metal
-//! sets are free one by one and backs the remaining lanes with virtual
-//! clone replicas (`vpos`, see [`pos_testbed::ClonePool`]) instead.
+//! satisfy the full batch it takes whatever sets are free one by one.
+//! A campaign gets one lane per set it could reserve and never more:
+//! the testbed is part of a campaign's identity, so every lane boots the
+//! campaign's own flavor ([`LaneFlavor`]) and a short site means fewer
+//! lanes, not lanes on another testbed.
 //!
 //! Lane 0 is special: it is the canonical lane that writes the shared
-//! result tree, and it must run on the primary bare-metal set — if even
-//! that reservation fails, the campaign cannot start at all.
+//! result tree, and it must run on the primary set — if even that
+//! reservation fails, the campaign cannot start at all.
 
 use pos_simkernel::{SimDuration, SimTime};
 use pos_testbed::{Calendar, ReservationError, ReservationId};
 use std::fmt;
 
-/// What kind of testbed a worker lane runs on.
+/// The testbed a campaign — and so every one of its lanes — runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneFlavor {
-    /// A reserved bare-metal replica host set (`pos`).
+    /// Bare-metal hosts (`pos`).
     BareMetal,
-    /// A virtual clone replica spawned from the hardware description
-    /// (`vpos`). Used when the calendar has no free bare-metal set.
+    /// Virtual clones spawned from the hardware description (`vpos`).
     Virtual,
 }
 
 impl LaneFlavor {
-    /// The testbed flavor label journaled for this lane.
+    /// The flavor a testbed label names: `pos` is bare metal, `vpos`
+    /// virtual; `None` for any other label.
+    pub fn parse(label: &str) -> Option<LaneFlavor> {
+        match label {
+            "pos" => Some(LaneFlavor::BareMetal),
+            "vpos" => Some(LaneFlavor::Virtual),
+            _ => None,
+        }
+    }
+
+    /// The testbed label journaled for this flavor.
     pub fn label(&self) -> &'static str {
         match self {
             LaneFlavor::BareMetal => "pos",
@@ -41,33 +52,6 @@ impl LaneFlavor {
 impl fmt::Display for LaneFlavor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// The planner's answer: one flavor per lane plus the site-calendar
-/// reservations backing the bare-metal ones.
-#[derive(Debug)]
-pub struct LaneAllocation {
-    /// Flavor per lane, indexed by lane.
-    pub flavors: Vec<LaneFlavor>,
-    /// Site-calendar reservations for the bare-metal lanes, in lane
-    /// order. `reservations.len()` equals the number of `BareMetal`
-    /// entries in [`Self::flavors`].
-    pub reservations: Vec<ReservationId>,
-}
-
-impl LaneAllocation {
-    /// Number of bare-metal lanes.
-    pub fn bare_metal(&self) -> usize {
-        self.flavors
-            .iter()
-            .filter(|f| **f == LaneFlavor::BareMetal)
-            .count()
-    }
-
-    /// Flavor labels in lane order (the `LanePlan` journal payload).
-    pub fn labels(&self) -> Vec<String> {
-        self.flavors.iter().map(|f| f.label().to_string()).collect()
     }
 }
 
@@ -90,13 +74,13 @@ pub fn site_host_sets(hosts: &[String], replicas: usize) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Plans `lanes` worker lanes against the site calendar.
+/// Plans up to `lanes` worker lanes against the site calendar and
+/// returns one reservation per planned lane, in lane order.
 ///
 /// Tries an atomic [`Calendar::reserve_batch`] over the first
-/// `min(lanes, host_sets.len())` replica sets; on a conflict it degrades
-/// gracefully, reserving sets one at a time and backing every lane it
-/// could not reserve with a virtual clone. Only a failure to reserve the
-/// *primary* set (lane 0) is fatal.
+/// `min(lanes, host_sets.len())` replica sets; on a conflict it reserves
+/// those sets one at a time and plans a lane for each one it got. Only a
+/// failure to reserve the *primary* set (lane 0) is fatal.
 pub fn plan_lanes(
     site: &mut Calendar,
     user: &str,
@@ -104,66 +88,49 @@ pub fn plan_lanes(
     lanes: usize,
     start: SimTime,
     duration: SimDuration,
-) -> Result<LaneAllocation, ReservationError> {
+) -> Result<Vec<ReservationId>, ReservationError> {
     assert!(lanes >= 1, "a campaign needs at least one lane");
     assert!(!host_sets.is_empty(), "the site has no host sets");
 
-    let wanted = lanes.min(host_sets.len());
-    if let Ok(ids) = site.reserve_batch(user, &host_sets[..wanted], start, duration) {
-        let mut flavors = vec![LaneFlavor::BareMetal; wanted];
-        flavors.resize(lanes, LaneFlavor::Virtual);
-        return Ok(LaneAllocation {
-            flavors,
-            reservations: ids,
-        });
+    let wanted = &host_sets[..lanes.min(host_sets.len())];
+    if let Ok(ids) = site.reserve_batch(user, wanted, start, duration) {
+        return Ok(ids);
     }
 
     // Batch failed: some sets are busy. Take what is free; lane 0 must
-    // succeed, everything else degrades to a virtual clone.
-    let mut flavors = Vec::with_capacity(lanes);
-    let mut reservations = Vec::new();
-    for lane in 0..lanes {
-        match host_sets.get(lane) {
-            Some(set) => match site.reserve(user.to_string(), set, start, duration) {
-                Ok(id) => {
-                    reservations.push(id);
-                    flavors.push(LaneFlavor::BareMetal);
-                }
-                Err(e) if lane == 0 => return Err(e),
-                Err(_) => flavors.push(LaneFlavor::Virtual),
-            },
-            None => flavors.push(LaneFlavor::Virtual),
+    // succeed.
+    let mut ids = Vec::new();
+    for (lane, set) in wanted.iter().enumerate() {
+        match site.reserve(user.to_string(), set, start, duration) {
+            Ok(id) => ids.push(id),
+            Err(e) if lane == 0 => return Err(e),
+            Err(_) => {}
         }
     }
-    Ok(LaneAllocation {
-        flavors,
-        reservations,
-    })
+    Ok(ids)
 }
 
 /// A scatter group's hold on the site: the lanes a DAG sweep stage fans
 /// its parameter sweep across, leased on a *shared* site calendar and
 /// released when the group's gather consumes the results.
 ///
-/// Where [`plan_lanes`] answers one campaign's private question ("how do
-/// I back N lanes right now"), a DAG executes several sweep stages
+/// Where [`plan_lanes`] answers one campaign's private question ("which
+/// sets back my lanes right now"), a DAG executes several sweep stages
 /// against the *same* site over time: each scatter group leases its
-/// lanes for its window, and releasing the lease frees the bare-metal
-/// sets for the next ready stage. The allocation itself reuses
-/// [`plan_lanes`] unchanged, so the degradation ladder (atomic batch →
-/// piecemeal → vpos clones) is identical for leased and standalone
-/// campaigns.
+/// lanes for its window, and releasing the lease frees the sets for the
+/// next ready stage. The allocation itself reuses [`plan_lanes`]
+/// unchanged, so leased and standalone campaigns plan lanes alike.
 #[derive(Debug)]
 pub struct ScatterLease {
     /// The scatter group this lease backs (the DAG stage id).
     pub group: String,
-    /// The underlying lane allocation.
-    pub allocation: LaneAllocation,
+    /// The site-calendar reservations, one per leased lane.
+    pub reservations: Vec<ReservationId>,
 }
 
 impl ScatterLease {
-    /// Acquires a lease for scatter group `group`: `lanes` worker lanes
-    /// on the shared `site` calendar over `[start, start + duration)`.
+    /// Acquires a lease for scatter group `group`: up to `lanes` worker
+    /// lanes on the shared `site` calendar over `[start, start + duration)`.
     pub fn acquire(
         site: &mut Calendar,
         user: &str,
@@ -173,26 +140,26 @@ impl ScatterLease {
         start: SimTime,
         duration: SimDuration,
     ) -> Result<ScatterLease, ReservationError> {
-        let allocation = plan_lanes(site, user, host_sets, lanes, start, duration)?;
+        let reservations = plan_lanes(site, user, host_sets, lanes, start, duration)?;
         Ok(ScatterLease {
             group: group.into(),
-            allocation,
+            reservations,
         })
     }
 
-    /// Bare-metal replica sets this lease actually holds — what the
-    /// inner parallel scheduler should treat as the site's replica pool
+    /// Replica sets this lease actually holds — what the inner campaign
+    /// should treat as the site's replica pool
     /// (`ParallelOptions::site_replicas`), so its private planning
     /// cannot claim sets the lease was refused.
     pub fn site_replicas(&self) -> usize {
-        self.allocation.bare_metal().max(1)
+        self.reservations.len()
     }
 
     /// Releases every reservation of the lease back to the site
     /// calendar. Returns how many reservations were released.
     pub fn release(self, site: &mut Calendar) -> usize {
         let mut released = 0;
-        for id in self.allocation.reservations {
+        for id in self.reservations {
             if site.release(id).is_some() {
                 released += 1;
             }
@@ -213,6 +180,26 @@ mod tests {
         (Calendar::new(), site_host_sets(&hosts(), replicas))
     }
 
+    fn plan(cal: &mut Calendar, sets: &[Vec<String>], lanes: usize) -> Vec<ReservationId> {
+        plan_lanes(
+            cal,
+            "alice",
+            sets,
+            lanes,
+            SimTime::ZERO,
+            SimDuration::from_hours(1),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn flavor_labels_round_trip() {
+        for flavor in [LaneFlavor::BareMetal, LaneFlavor::Virtual] {
+            assert_eq!(LaneFlavor::parse(flavor.label()), Some(flavor));
+        }
+        assert_eq!(LaneFlavor::parse("kvm"), None);
+    }
+
     #[test]
     fn site_host_sets_keeps_primary_names() {
         let sets = site_host_sets(&hosts(), 3);
@@ -222,41 +209,19 @@ mod tests {
     }
 
     #[test]
-    fn all_bare_metal_when_site_is_free() {
+    fn one_lane_per_set_when_site_is_free() {
         let (mut cal, sets) = site(4);
-        let plan = plan_lanes(
-            &mut cal,
-            "alice",
-            &sets,
-            4,
-            SimTime::ZERO,
-            SimDuration::from_hours(1),
-        )
-        .unwrap();
-        assert_eq!(plan.flavors, vec![LaneFlavor::BareMetal; 4]);
-        assert_eq!(plan.reservations.len(), 4);
+        assert_eq!(plan(&mut cal, &sets, 4).len(), 4);
     }
 
     #[test]
-    fn lanes_beyond_replica_pool_become_virtual() {
+    fn lanes_beyond_the_site_are_not_planned() {
         let (mut cal, sets) = site(2);
-        let plan = plan_lanes(
-            &mut cal,
-            "alice",
-            &sets,
-            4,
-            SimTime::ZERO,
-            SimDuration::from_hours(1),
-        )
-        .unwrap();
-        assert_eq!(plan.bare_metal(), 2);
-        assert_eq!(plan.flavors[2], LaneFlavor::Virtual);
-        assert_eq!(plan.flavors[3], LaneFlavor::Virtual);
-        assert_eq!(plan.labels(), vec!["pos", "pos", "vpos", "vpos"]);
+        assert_eq!(plan(&mut cal, &sets, 4).len(), 2);
     }
 
     #[test]
-    fn busy_replica_degrades_that_lane_to_virtual() {
+    fn busy_replica_set_costs_its_lane() {
         let (mut cal, sets) = site(3);
         // Someone else holds replica set 1 for the whole window.
         cal.reserve(
@@ -266,24 +231,7 @@ mod tests {
             SimDuration::from_hours(2),
         )
         .unwrap();
-        let plan = plan_lanes(
-            &mut cal,
-            "alice",
-            &sets,
-            3,
-            SimTime::ZERO,
-            SimDuration::from_hours(1),
-        )
-        .unwrap();
-        assert_eq!(
-            plan.flavors,
-            vec![
-                LaneFlavor::BareMetal,
-                LaneFlavor::Virtual,
-                LaneFlavor::BareMetal
-            ]
-        );
-        assert_eq!(plan.reservations.len(), 2);
+        assert_eq!(plan(&mut cal, &sets, 3).len(), 2);
     }
 
     #[test]
@@ -324,7 +272,7 @@ mod tests {
             SimDuration::from_hours(1),
         )
         .unwrap();
-        assert_eq!(again.allocation.bare_metal(), 2);
+        assert_eq!(again.site_replicas(), 2);
     }
 
     #[test]

@@ -61,17 +61,18 @@ use crate::experiment::ExperimentSpec;
 use crate::journal::{Journal, JournalRecord, JOURNAL_FILE};
 use crate::resultstore::ResultStore;
 use pos_simkernel::{SimDuration, SimTime};
-use pos_testbed::{Calendar, Testbed};
+use pos_testbed::{Calendar, ReservationId, Testbed};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Builds lane `k`'s replica testbed: the same hosts, wiring, images, and
-/// **root seed** as the campaign testbed, as a bare-metal replica or a
-/// virtual clone per the [`LaneFlavor`]. The driver re-derives the
+/// **root seed** as lane 0, on the campaign's testbed — the
+/// [`LaneFlavor`] the driver passes is always the one
+/// [`RunOptions::testbed_flavor`] names. The driver re-derives the
 /// replica's management RNG stream itself. [`run_campaign`] calls it for
 /// lanes `k ≥ 1` — lane 0 is the caller's controller — and again
-/// mid-campaign for replacement lanes.
+/// mid-campaign for replacement lanes; [`run_parallel`] for lane 0 too.
 pub type MakeLane<'m> = dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError> + 'm;
 
 /// How to parallelize one campaign.
@@ -79,8 +80,8 @@ pub type MakeLane<'m> = dyn FnMut(usize, LaneFlavor) -> Result<Testbed, Controll
 pub struct ParallelOptions {
     /// Worker lanes (≥ 1). One lane is exactly the controller.
     pub lanes: usize,
-    /// Bare-metal replica host sets the site owns (including the primary
-    /// set). Lanes beyond this run on virtual clone replicas.
+    /// Replica host sets the site owns (including the primary set). A
+    /// campaign plans at most this many lanes, replacements included.
     pub site_replicas: usize,
     /// Lane supervision: watchdog, retry ladder, quarantine, recovery
     /// policy. Journaled so a resume replays the same failover.
@@ -88,8 +89,8 @@ pub struct ParallelOptions {
 }
 
 impl ParallelOptions {
-    /// `lanes` lanes, all backed by bare-metal replica sets, with
-    /// default supervision.
+    /// `lanes` lanes, each backed by its own replica set, with default
+    /// supervision.
     pub fn new(lanes: usize) -> ParallelOptions {
         ParallelOptions {
             lanes,
@@ -103,8 +104,8 @@ impl ParallelOptions {
 /// replay failover decisions without any CLI flags.
 #[derive(Debug, Serialize, Deserialize)]
 struct SupervisorPlanConfig {
-    /// Bare-metal replica sets the site owns (replacement lanes beyond
-    /// this come from the clone pool).
+    /// Replica sets the site owns (no replacement lane is planned
+    /// beyond them).
     site_replicas: usize,
     /// The supervision options proper.
     options: SupervisorOptions,
@@ -119,8 +120,6 @@ pub struct ParallelOutcome {
     pub outcome: ExperimentOutcome,
     /// Number of worker lanes, replacement lanes included.
     pub lanes: usize,
-    /// Testbed flavor label per lane (original plan + replacements).
-    pub flavors: Vec<String>,
     /// Run indices executed (or verified-skipped) per lane.
     pub lane_runs: Vec<Vec<usize>>,
     /// Virtual time of the canonical (one-lane) timeline: campaign start
@@ -155,15 +154,35 @@ impl ParallelOutcome {
     }
 }
 
-/// Parses a journaled lane flavor label back into a [`LaneFlavor`].
-fn parse_flavor(label: &str) -> Result<LaneFlavor, ControllerError> {
-    match label {
-        "pos" => Ok(LaneFlavor::BareMetal),
-        "vpos" => Ok(LaneFlavor::Virtual),
-        other => Err(ControllerError::Resume {
-            reason: format!("journal records unknown lane flavor `{other}`"),
-        }),
-    }
+/// The flavor of every lane: the campaign's own testbed.
+pub(crate) fn campaign_flavor(opts: &RunOptions) -> Result<LaneFlavor, ControllerError> {
+    LaneFlavor::parse(&opts.testbed_flavor).ok_or_else(|| ControllerError::Topology {
+        reason: format!(
+            "unknown testbed `{}` (expected pos or vpos)",
+            opts.testbed_flavor
+        ),
+    })
+}
+
+/// The campaign's private site calendar over `replicas` replica sets,
+/// with up to `lanes` lanes planned on it.
+fn plan_site(
+    spec: &ExperimentSpec,
+    lanes: usize,
+    replicas: usize,
+) -> Result<(Calendar, Vec<ReservationId>), ControllerError> {
+    let mut site = Calendar::new();
+    let sets = site_host_sets(&spec.hosts(), replicas);
+    let reservations = plan_lanes(
+        &mut site,
+        &spec.user,
+        &sets,
+        lanes,
+        SimTime::ZERO,
+        SimDuration::from_secs(spec.planned_duration_secs),
+    )
+    .map_err(ControllerError::Allocation)?;
+    Ok((site, reservations))
 }
 
 /// Runs a complete campaign on `popts.lanes` worker lanes: `lane0` —
@@ -189,20 +208,10 @@ pub fn run_campaign(
     assert!(popts.lanes >= 1, "a campaign needs at least one lane");
     let (spec, runs) = lane0.prepare_campaign(spec, opts)?;
 
-    // Acquire disjoint allocations on the site calendar: an atomic batch
-    // of bare-metal replica sets when free, virtual clone lanes otherwise.
-    let mut site = Calendar::new();
-    let sets = site_host_sets(&spec.hosts(), popts.site_replicas);
-    let alloc = plan_lanes(
-        &mut site,
-        &spec.user,
-        &sets,
-        popts.lanes,
-        SimTime::ZERO,
-        SimDuration::from_secs(spec.planned_duration_secs),
-    )
-    .map_err(ControllerError::Allocation)?;
-    let lanes = build_lanes(lane0, &alloc.flavors, opts, make_lane)?;
+    // One lane per replica set the site calendar grants, as an atomic
+    // batch; all of them run the campaign's testbed.
+    let (site, reservations) = plan_site(&spec, popts.lanes, popts.site_replicas)?;
+    let lanes = build_lanes(lane0, reservations.len(), opts, make_lane)?;
 
     let started = lanes[0].testbed().now();
     let store = ResultStore::create(&opts.result_root, &spec.user, &spec.name, started)?
@@ -218,8 +227,8 @@ pub fn run_campaign(
     })?;
     let plan = [
         JournalRecord::LanePlan {
-            lanes: popts.lanes,
-            flavors: alloc.labels(),
+            lanes: lanes.len(),
+            flavors: vec![opts.testbed_flavor.clone(); lanes.len()],
         },
         JournalRecord::SupervisorPlan {
             config: serde_json::to_string(&SupervisorPlanConfig {
@@ -241,9 +250,8 @@ pub fn run_campaign(
         &plan,
         make_lane,
         lanes,
-        alloc.flavors,
         site,
-        alloc.reservations,
+        reservations,
         FailoverState::default(),
     )?
     .run(&runs, &BTreeMap::new())
@@ -316,24 +324,24 @@ pub fn resume_campaign(
             runs.len()
         ));
     }
+    if let Some(finding) = replay.mixed_testbeds() {
+        return refuse(finding);
+    }
 
     // The lane plan, the supervision configuration and the failover
     // history: which lanes died, how many lanes each run killed, how far
     // each retry ladder got, which replacement lanes exist. A journal
     // without a lane plan was interrupted during setup (or predates the
     // plan records): it resumes on one lane with default supervision.
-    let mut flavors = vec![LaneFlavor::BareMetal];
+    let mut lane_count = 1;
     let mut site_replicas = 1;
     let mut sopts = SupervisorOptions::default();
     let mut fstate = FailoverState::default();
     for rec in &replay.records {
         match rec {
-            JournalRecord::LanePlan { flavors: plan, .. } => {
-                flavors = plan
-                    .iter()
-                    .map(|f| parse_flavor(f))
-                    .collect::<Result<_, _>>()?;
-                site_replicas = flavors.len();
+            JournalRecord::LanePlan { lanes, .. } => {
+                lane_count = *lanes;
+                site_replicas = *lanes;
             }
             JournalRecord::SupervisorPlan { config } => {
                 let cfg: SupervisorPlanConfig =
@@ -355,8 +363,8 @@ pub fn resume_campaign(
                 let a = fstate.ladder.entry(*index).or_insert(0);
                 *a = (*a).max(*attempt);
             }
-            JournalRecord::LaneReplanned { flavor, .. } => {
-                flavors.push(parse_flavor(flavor)?);
+            JournalRecord::LaneReplanned { .. } => {
+                lane_count += 1;
                 fstate.replanned += 1;
             }
             _ => {}
@@ -364,25 +372,10 @@ pub fn resume_campaign(
     }
     let verified = verified_runs(&store, &replay.records);
 
-    // Pin the journaled lane plan back onto a fresh site calendar —
+    // Pin the journaled lanes back onto a fresh site calendar —
     // replacement lanes included, at the replica set their index names.
-    let mut site = Calendar::new();
-    let sets = site_host_sets(&spec.hosts(), flavors.len().max(site_replicas));
-    let mut site_reservations = Vec::new();
-    for (k, flavor) in flavors.iter().enumerate() {
-        if *flavor == LaneFlavor::BareMetal {
-            let id = site
-                .reserve(
-                    spec.user.clone(),
-                    &sets[k],
-                    SimTime::ZERO,
-                    SimDuration::from_secs(spec.planned_duration_secs),
-                )
-                .map_err(ControllerError::Allocation)?;
-            site_reservations.push(id);
-        }
-    }
-    let lanes = build_lanes(lane0, &flavors, opts, make_lane)?;
+    let (site, reservations) = plan_site(&spec, lane_count, lane_count.max(site_replicas))?;
+    let lanes = build_lanes(lane0, lane_count, opts, make_lane)?;
 
     let mut journal = Journal::open_append_with(&journal_path, opts.vfs.clone())?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
@@ -402,9 +395,8 @@ pub fn resume_campaign(
         &[],
         make_lane,
         lanes,
-        flavors,
         site,
-        site_reservations,
+        reservations,
         fstate,
     )?
     .run(&runs, &verified)
@@ -417,7 +409,7 @@ pub fn run_parallel(
     popts: &ParallelOptions,
     make_lane: &mut MakeLane<'_>,
 ) -> Result<ParallelOutcome, ControllerError> {
-    let mut lane0 = Controller::owning(make_lane(0, LaneFlavor::BareMetal)?);
+    let mut lane0 = Controller::owning(make_lane(0, campaign_flavor(opts)?)?);
     run_campaign(&mut lane0, spec, opts, popts, make_lane)
 }
 
@@ -428,15 +420,15 @@ pub fn resume_parallel(
     opts: &RunOptions,
     make_lane: &mut MakeLane<'_>,
 ) -> Result<ParallelOutcome, ControllerError> {
-    let mut lane0 = Controller::owning(make_lane(0, LaneFlavor::BareMetal)?);
+    let mut lane0 = Controller::owning(make_lane(0, campaign_flavor(opts)?)?);
     resume_campaign(&mut lane0, result_dir, spec, opts, make_lane)
 }
 
-/// The campaign's lanes: `lane0` under the campaign's command watchdog,
-/// then one replica per further flavor.
+/// The campaign's `count` lanes: `lane0` under the campaign's command
+/// watchdog, then replicas.
 fn build_lanes<'a, 't>(
     lane0: &'a mut Controller<'t>,
-    flavors: &[LaneFlavor],
+    count: usize,
     opts: &RunOptions,
     make_lane: &mut MakeLane<'_>,
 ) -> Result<Vec<Lane<'a, 't>>, ControllerError> {
@@ -444,8 +436,8 @@ fn build_lanes<'a, 't>(
         .testbed_mut()
         .set_command_timeout(opts.command_timeout);
     let mut lanes = vec![Lane::Caller(lane0)];
-    for (k, flavor) in flavors.iter().enumerate().skip(1) {
-        lanes.push(replica(k, *flavor, opts, make_lane)?);
+    for k in 1..count {
+        lanes.push(replica(k, opts, make_lane)?);
     }
     Ok(lanes)
 }

@@ -20,10 +20,12 @@
 //!   never selected again; its occupancy history keeps contributing to
 //!   the makespan. Unstarted runs flow to the surviving lanes through
 //!   the ordinary earliest-free-lane queue, or onto a **replacement
-//!   lane** replanned from the site calendar (bare-metal replica set
-//!   when the site still owns a free one) or the clone pool (`vpos`)
-//!   under [`LaneRecovery::Replacement`]. When the last live lane dies,
-//!   a replacement is forced regardless of policy.
+//!   lane** on a replica set the site calendar still has free under
+//!   [`LaneRecovery::Replacement`]. A replacement runs the campaign's own
+//!   testbed; with no free set there is none, and the work flows to the
+//!   surviving lanes as under [`LaneRecovery::Redistribute`]. When the
+//!   last live lane dies, a replacement is forced regardless of policy,
+//!   and the campaign fails if the site has no set left for it.
 //! * **Retry ladder** — a run whose lane died under it is retried on the
 //!   next lane after a deterministic backoff drawn from the
 //!   `testbed/lane{k}/retry{run}` stream ([`pos_simkernel::lane_retry_rng`]).
@@ -56,14 +58,10 @@
 //!
 //! Hence the result tree stays byte-identical to `--lanes 1` under the
 //! same fault plan — the journal excepted, since it *is* the record of
-//! the failover. One caveat: a replacement lane drawn from the
-//! *clone pool* (the site owns no free bare-metal replica set) measures
-//! with `vpos` fidelity, exactly like a planned `vpos` lane — the
-//! canonical timeline is preserved, the fidelity trade-off of the
-//! paper's Table 1 is not suspended.
+//! the failover.
 
-use super::plan::{site_host_sets, LaneFlavor};
-use super::scheduler::{MakeLane, ParallelOutcome};
+use super::plan::site_host_sets;
+use super::scheduler::{campaign_flavor, MakeLane, ParallelOutcome};
 use crate::controller::{
     CampaignSetup, Controller, ControllerError, HostHealth, PendingRun, Progress, RunOptions,
     RunRecord,
@@ -75,7 +73,7 @@ use crate::resultstore::{run_metadata, ResultStore};
 use pos_simkernel::{
     lane_retry_rng, lane_stream_label, Backoff, LaneSet, SimDuration, SimTime, TraceLevel,
 };
-use pos_testbed::{Calendar, ReservationId};
+use pos_testbed::{Calendar, ReservationError, ReservationId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -88,9 +86,8 @@ pub enum LaneRecovery {
     /// the earliest-free-lane queue. A replacement is still replanned
     /// when the *last* live lane dies.
     Redistribute,
-    /// Replan a replacement lane from the site calendar (bare-metal
-    /// replica set if the site still owns a free one, virtual clone
-    /// otherwise) after every retirement.
+    /// Replan a replacement lane on a free replica set of the site
+    /// calendar after every retirement; with no free set, redistribute.
     Replacement,
 }
 
@@ -244,8 +241,8 @@ pub(crate) struct LaneSupervisor<'a, 't> {
     spec: &'a ExperimentSpec,
     opts: &'a RunOptions,
     sopts: SupervisorOptions,
-    /// Bare-metal replica sets the site owns; replacement lane `k` gets
-    /// a bare-metal set only while `k < site_replicas`.
+    /// Replica sets the site owns; replacement lane `k` is planned only
+    /// while `k < site_replicas`.
     site_replicas: usize,
     total: usize,
     store: ResultStore,
@@ -253,7 +250,6 @@ pub(crate) struct LaneSupervisor<'a, 't> {
     /// Builds replacement lanes' testbeds.
     make_lane: &'a mut MakeLane<'a>,
     lanes: Vec<Lane<'a, 't>>,
-    flavors: Vec<LaneFlavor>,
     setups: Vec<CampaignSetup>,
     site: Calendar,
     site_reservations: Vec<ReservationId>,
@@ -304,7 +300,6 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
         plan: &[JournalRecord],
         make_lane: &'a mut MakeLane<'a>,
         mut lanes: Vec<Lane<'a, 't>>,
-        flavors: Vec<LaneFlavor>,
         site: Calendar,
         site_reservations: Vec<ReservationId>,
         prior: FailoverState,
@@ -330,7 +325,6 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
             dispatched: vec![0; lanes.len()],
             lane_assignments: vec![Vec::new(); lanes.len()],
             lanes,
-            flavors,
             setups,
             site,
             site_reservations,
@@ -410,7 +404,6 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
                 total_recovery_time: landed.recovery_time,
             },
             lanes: self.lanes.len(),
-            flavors: self.flavors.iter().map(|f| f.label().to_string()).collect(),
             lane_runs,
             sequential_elapsed: finished - started,
             parallel_elapsed: self.laneset.makespan_end() - started,
@@ -693,10 +686,16 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
     /// lane dies.
     fn select_lane(&mut self, cursor: SimTime) -> Result<usize, ControllerError> {
         loop {
-            if self.laneset.live_lanes() == 0 {
-                // Forced replanning: even under Redistribute a campaign
-                // with zero live lanes must get a replacement or die.
-                self.replan_replacement(cursor)?;
+            // Forced replanning: even under Redistribute a campaign with
+            // zero live lanes must get a replacement or die.
+            if self.laneset.live_lanes() == 0 && !self.replan_replacement(cursor)? {
+                return Err(ControllerError::Allocation(ReservationError::BadRequest {
+                    reason: format!(
+                        "every lane is retired and none of the site's {} replica \
+                         set(s) is free for a replacement",
+                        self.site_replicas
+                    ),
+                }));
             }
             let lane = self.laneset.next_lane();
             if let Some(j) = self.boundary_death_due(lane) {
@@ -798,47 +797,47 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
         Ok(())
     }
 
-    /// Provisions lane `len()`: a bare-metal replica set from the site
-    /// calendar while the site still owns one, a virtual clone replica
-    /// otherwise. The new lane runs the full setup phase; its setup time
-    /// is failover overhead and it joins the queue at `cursor + setup`.
-    fn replan_replacement(&mut self, cursor: SimTime) -> Result<(), ControllerError> {
+    /// Provisions lane `len()` on the next replica set of the site
+    /// calendar and returns true — or returns false and adds no lane when
+    /// the site has no free set left, so the work stays with the
+    /// surviving lanes. The new lane runs the full setup phase; its setup
+    /// time is failover overhead and it joins the queue at
+    /// `cursor + setup`.
+    fn replan_replacement(&mut self, cursor: SimTime) -> Result<bool, ControllerError> {
         self.drain()?;
         let k = self.lanes.len();
-        let mut flavor = LaneFlavor::Virtual;
-        if k < self.site_replicas {
-            let sets = site_host_sets(&self.spec.hosts(), k + 1);
-            // A calendar conflict falls through to a clone replica.
-            if let Ok(id) = self.site.reserve(
-                self.spec.user.clone(),
-                &sets[k],
-                SimTime::ZERO,
-                SimDuration::from_secs(self.spec.planned_duration_secs),
-            ) {
-                self.site_reservations.push(id);
-                flavor = LaneFlavor::BareMetal;
-            }
+        if k >= self.site_replicas {
+            return Ok(false);
         }
+        let sets = site_host_sets(&self.spec.hosts(), k + 1);
+        let Ok(id) = self.site.reserve(
+            self.spec.user.clone(),
+            &sets[k],
+            SimTime::ZERO,
+            SimDuration::from_secs(self.spec.planned_duration_secs),
+        ) else {
+            return Ok(false);
+        };
+        self.site_reservations.push(id);
 
-        let mut lane = replica(k, flavor, self.opts, self.make_lane)?;
+        let mut lane = replica(k, self.opts, self.make_lane)?;
         let setup = lane.setup_campaign(self.spec, self.opts, None, self.total)?;
         let setup_elapsed = lane.testbed().now() - setup.started;
         self.failover_time += setup_elapsed;
 
         self.journal.append(&JournalRecord::LaneReplanned {
             lane: k,
-            flavor: flavor.label().to_string(),
+            flavor: self.opts.testbed_flavor.clone(),
             at_ns: cursor.as_nanos(),
         })?;
 
         let idx = self.laneset.add_lane(cursor + setup_elapsed);
         debug_assert_eq!(idx, k);
         self.lanes.push(lane);
-        self.flavors.push(flavor);
         self.setups.push(setup);
         self.dispatched.push(0);
         self.replanned += 1;
-        Ok(())
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -984,17 +983,16 @@ impl<'a, 't> LaneSupervisor<'a, 't> {
     }
 }
 
-/// Builds replica lane `k`'s controller from `make_lane`: its management
-/// RNG stream re-derived under `testbed/lane{k}`, so replica boot timings
-/// are independent draws under the same campaign seed, and the campaign's
-/// command watchdog set.
+/// Builds replica lane `k`'s controller from `make_lane`, on the
+/// campaign's testbed: its management RNG stream re-derived under
+/// `testbed/lane{k}`, so replica boot timings are independent draws under
+/// the same campaign seed, and the campaign's command watchdog set.
 pub(crate) fn replica<'a, 't>(
     k: usize,
-    flavor: LaneFlavor,
     opts: &RunOptions,
     make_lane: &mut MakeLane<'_>,
 ) -> Result<Lane<'a, 't>, ControllerError> {
-    let mut tb = make_lane(k, flavor)?;
+    let mut tb = make_lane(k, campaign_flavor(opts)?)?;
     tb.rederive_management_rng(&lane_stream_label(k));
     tb.set_command_timeout(opts.command_timeout);
     Ok(Lane::Replica(Controller::owning(tb)))

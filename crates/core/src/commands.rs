@@ -85,22 +85,15 @@ pub fn case_study_testbed(
     Ok(tb)
 }
 
-/// The replica-lane factory of a campaign on `seed`: every lane the
-/// driver asks for is the case-study testbed at the exact seed, on vpos
-/// when the campaign runs there or the lane is a clone replica.
+/// The replica-lane factory of a campaign whose lane 0 runs on testbed
+/// seed `seed` (`Testbed::seed`, after any vpos derivation): every lane
+/// the driver asks for is the case-study testbed at that exact seed, on
+/// the flavor the driver passes — the campaign's own testbed.
 pub fn case_study_lanes(
     spec: &ExperimentSpec,
     seed: u64,
-    virtualized: bool,
 ) -> impl FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError> + '_ {
-    move |_, flavor| {
-        case_study_testbed(
-            spec,
-            seed,
-            virtualized || flavor == LaneFlavor::Virtual,
-            true,
-        )
-    }
+    move |_, flavor| case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
 }
 
 /// The `ping` command: `ping <target-ip>` — the connectivity check setup

@@ -245,6 +245,7 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
                 .errors
                 .push("journal has no CampaignStarted record".into()),
         }
+        report.errors.extend(replay.mixed_testbeds());
         for rec in &replay.records {
             match rec {
                 JournalRecord::RunCompleted { index, digest, .. } => {

@@ -118,10 +118,10 @@ pub enum JournalRecord {
     /// Written right after `CampaignStarted`; a resume rebuilds the same
     /// lanes from it (a journal without one ran on a single lane).
     LanePlan {
-        /// Number of worker lanes.
+        /// Number of worker lanes planned.
         lanes: usize,
-        /// Testbed flavor of each lane (`"pos"` bare metal, `"vpos"`
-        /// virtualized clone), indexed by lane.
+        /// Testbed label of each lane, indexed by lane: always the
+        /// campaign's own (`"pos"` bare metal, `"vpos"` virtualized).
         flavors: Vec<String>,
     },
     /// The driver's lane-supervision configuration, journaled right
@@ -176,14 +176,13 @@ pub enum JournalRecord {
         /// Canonical virtual instant of the quarantine, nanoseconds.
         at_ns: u64,
     },
-    /// The supervisor replanned a replacement lane (site calendar when a
-    /// bare-metal replica set was free, virtual clone otherwise). Resume
-    /// rebuilds lanes beyond the original [`Self::LanePlan`] from these
-    /// records.
+    /// The supervisor replanned a replacement lane on a free replica set
+    /// of the site calendar. Resume rebuilds lanes beyond the original
+    /// [`Self::LanePlan`] from these records.
     LaneReplanned {
         /// Index of the new lane (always the next unused index).
         lane: usize,
-        /// Testbed flavor granted (`"pos"` / `"vpos"`).
+        /// Testbed label of the lane: the campaign's own.
         flavor: String,
         /// Canonical virtual instant of the replanning, nanoseconds.
         at_ns: u64,
@@ -400,6 +399,35 @@ impl Replay {
             Some(r @ JournalRecord::CampaignStarted { .. }) => Some(r),
             _ => None,
         }
+    }
+
+    /// The "mixed testbeds" finding of a `pos` campaign whose
+    /// `LanePlan` or `LaneReplanned` records put a lane on `vpos`: such a
+    /// tree mixes KVM-guest measurements into a bare-metal campaign.
+    /// fsck reports it and resume refuses the tree. A `vpos` campaign
+    /// whose plan says `pos` is not flagged: its lanes were all clones.
+    pub fn mixed_testbeds(&self) -> Option<String> {
+        let Some(JournalRecord::CampaignStarted { testbed, .. }) = self.campaign_start() else {
+            return None;
+        };
+        let mut lanes = Vec::new();
+        for rec in &self.records {
+            match rec {
+                JournalRecord::LanePlan { flavors, .. } => lanes.extend(
+                    flavors
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, f)| f.as_str() == "vpos")
+                        .map(|(k, _)| k),
+                ),
+                JournalRecord::LaneReplanned { lane, flavor, .. } if flavor == "vpos" => {
+                    lanes.push(*lane)
+                }
+                _ => {}
+            }
+        }
+        (testbed == "pos" && !lanes.is_empty())
+            .then(|| format!("mixed testbeds: the `pos` campaign ran lane(s) {lanes:?} on `vpos`"))
     }
 
     /// True when a `CampaignFinished` record is present.

@@ -15,45 +15,30 @@ use pos_core::commands::{case_study_lanes, case_study_testbed};
 use pos_core::controller::{Controller, Progress, RunOptions};
 use pos_core::experiment::ExperimentSpec;
 use pos_core::journal::{Journal, JournalRecord, JOURNAL_FILE};
-use pos_sched::{resume_campaign, ParallelOutcome};
+use pos_sched::{resume_campaign, LaneFlavor, ParallelOutcome};
 use std::path::{Path, PathBuf};
 
 /// The execution target a `--target` label names (`in-process` or
 /// `inprocess`, `sim-batch` or `batch`), running every lane from
 /// `seed`; `None` for any other label. `site_replicas` bounds the
-/// in-process target's bare-metal replica sets, `partition` the lanes
-/// the batch target grants a job.
+/// in-process target's replica sets, `partition` the lanes the batch
+/// target grants a job.
 pub fn target(
     label: &str,
     seed: u64,
-    virtualized: bool,
     site_replicas: usize,
     partition: usize,
 ) -> Option<Box<dyn ExecutionTarget>> {
     match label {
-        "in-process" | "inprocess" => Some(Box::new(InProcessTarget::new(
-            seed,
-            virtualized,
-            site_replicas,
-        ))),
-        "sim-batch" | "batch" => Some(Box::new(SimBatchTarget::new(seed, virtualized, partition))),
-        _ => None,
-    }
-}
-
-/// Whether a testbed label names the virtualized testbed: `pos` is
-/// bare metal, `vpos` virtual; `None` for any other label.
-pub fn is_virtual(testbed: &str) -> Option<bool> {
-    match testbed {
-        "pos" => Some(false),
-        "vpos" => Some(true),
+        "in-process" | "inprocess" => Some(Box::new(InProcessTarget::new(seed, site_replicas))),
+        "sim-batch" | "batch" => Some(Box::new(SimBatchTarget::new(seed, partition))),
         _ => None,
     }
 }
 
 /// The canonical name of the target a label names.
 fn target_name(label: &str) -> Result<&'static str, DagError> {
-    target(label, 0, false, 1, 1)
+    target(label, 0, 1, 1)
         .map(|t| t.name())
         .ok_or_else(|| unknown_target(label))
 }
@@ -64,13 +49,15 @@ fn unknown_target(label: &str) -> DagError {
     ))
 }
 
-/// The testbed flavor a label names.
+/// Whether a testbed label names the virtualized testbed.
 fn virtualized(testbed: &str) -> Result<bool, DagError> {
-    is_virtual(testbed).ok_or_else(|| {
-        refused(format!(
-            "unknown testbed `{testbed}` (expected pos or vpos)"
-        ))
-    })
+    LaneFlavor::parse(testbed)
+        .map(|f| f == LaneFlavor::Virtual)
+        .ok_or_else(|| {
+            refused(format!(
+                "unknown testbed `{testbed}` (expected pos or vpos)"
+            ))
+        })
 }
 
 fn refused(reason: String) -> DagError {
@@ -227,21 +214,20 @@ impl Tree {
         partition: usize,
         progress: impl FnMut(&Progress) + 'static,
     ) -> Result<Launched, DagError> {
-        let virtualized = virtualized(&self.testbed)?;
         let mut opts = opts.clone();
         opts.testbed_flavor = self.testbed.clone();
         match &self.kind {
             Kind::Campaign { .. } => {
                 let spec = ExperimentSpec::from_dir(&self.dir.join("experiment"))
                     .map_err(|e| refused(format!("stored experiment unloadable: {e}")))?;
-                let tb = case_study_testbed(&spec, self.seed, virtualized, true)?;
+                let tb = case_study_testbed(&spec, self.seed, virtualized(&self.testbed)?, true)?;
                 let mut lane0 = Controller::owning(tb).with_progress(progress);
-                let mut make_lane = case_study_lanes(&spec, self.seed, virtualized);
+                let mut make_lane = case_study_lanes(&spec, self.seed);
                 let out = resume_campaign(&mut lane0, &self.dir, &spec, &opts, &mut make_lane)?;
                 Ok(Launched::Campaign(out))
             }
             Kind::Dag { target: label } => {
-                let mut target = target(label, self.seed, virtualized, site_replicas, partition)
+                let mut target = target(label, self.seed, site_replicas, partition)
                     .ok_or_else(|| unknown_target(label))?;
                 let dopts = DagOptions::new(lanes, self.seed);
                 resume_dag(&self.dir, &opts, &dopts, target.as_mut()).map(Launched::Dag)

@@ -17,8 +17,8 @@
 //!   ready-set waves the scheduler dispatches.
 //! * [`target`] — the [`target::ExecutionTarget`] trait abstracting
 //!   *where* stage work runs: [`target::InProcessTarget`] executes on
-//!   the in-process `pos-sched` lanes (leasing bare-metal replica sets
-//!   per scatter group on a shared site calendar), and
+//!   the in-process `pos-sched` lanes (leasing replica sets per
+//!   scatter group on a shared site calendar), and
 //!   [`target::SimBatchTarget`] models a remote SLURM-like batch
 //!   cluster (job queue, partition width, queue waits) to prove the
 //!   seam — both produce byte-identical result trees.

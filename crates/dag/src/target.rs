@@ -5,10 +5,10 @@
 //! group's lanes are provisioned:
 //!
 //! * [`InProcessTarget`] — today's answer: worker lanes in this
-//!   process, backed by bare-metal replica sets leased per scatter
-//!   group on a **shared** site calendar
-//!   ([`pos_sched::ScatterLease`]); overflow lanes degrade to
-//!   vpos clone replicas exactly like a standalone parallel campaign.
+//!   process, backed by replica sets leased per scatter group on a
+//!   **shared** site calendar ([`pos_sched::ScatterLease`]); a scatter
+//!   group gets one lane per set it could lease, exactly like a
+//!   standalone parallel campaign, all on the campaign's testbed.
 //! * [`SimBatchTarget`] — a simulated remote SLURM-like batch cluster:
 //!   sweeps become queued jobs with deterministic queue waits and a
 //!   partition width that clamps the granted lane count. It exists to
@@ -69,10 +69,9 @@ pub struct JobRecord {
     pub node: String,
     /// Lanes the stage requested.
     pub lanes_requested: usize,
-    /// Lanes the target granted (a batch partition may clamp).
+    /// Lanes the target granted, one per replica set it leased (the
+    /// site or a batch partition may clamp).
     pub lanes_granted: usize,
-    /// Bare-metal replica sets backing the granted lanes.
-    pub bare_metal: usize,
     /// Seconds the job waited in the target's queue before starting
     /// (always 0 for the in-process target).
     pub queue_wait_secs: f64,
@@ -97,18 +96,17 @@ impl TargetReport {
         let mut out = format!("target: {}\n", self.target);
         let _ = writeln!(
             out,
-            "{:<12} {:<12} {:>5} {:>7} {:>5} {:>9} {:>9}  STATE",
-            "JOBID", "NODE", "REQ", "GRANTED", "BM", "WAIT[s]", "ELAPSED"
+            "{:<12} {:<12} {:>5} {:>7} {:>9} {:>9}  STATE",
+            "JOBID", "NODE", "REQ", "GRANTED", "WAIT[s]", "ELAPSED"
         );
         for j in &self.jobs {
             let _ = writeln!(
                 out,
-                "{:<12} {:<12} {:>5} {:>7} {:>5} {:>9.1} {:>9.1}  {}",
+                "{:<12} {:<12} {:>5} {:>7} {:>9.1} {:>9.1}  {}",
                 j.id,
                 j.node,
                 j.lanes_requested,
                 j.lanes_granted,
-                j.bare_metal,
                 j.queue_wait_secs,
                 j.elapsed_secs,
                 j.state
@@ -148,11 +146,10 @@ pub trait ExecutionTarget {
 }
 
 /// Executes sweeps on in-process `pos-sched` worker lanes, leasing
-/// bare-metal replica sets per scatter group on a shared site calendar.
+/// replica sets per scatter group on a shared site calendar.
 #[derive(Debug)]
 pub struct InProcessTarget {
     seed: u64,
-    virtualized: bool,
     site_replicas: usize,
     site: Calendar,
     clock: SimTime,
@@ -160,13 +157,13 @@ pub struct InProcessTarget {
 }
 
 impl InProcessTarget {
-    /// A target running every lane's testbed from `seed`.
-    /// `site_replicas` bounds the bare-metal replica sets the shared
-    /// site owns; lanes beyond a lease's grant degrade to vpos clones.
-    pub fn new(seed: u64, virtualized: bool, site_replicas: usize) -> InProcessTarget {
+    /// A target running every lane's testbed from `seed`, on the
+    /// campaign's testbed (`RunOptions::testbed_flavor`).
+    /// `site_replicas` bounds the replica sets the shared site owns, and
+    /// so the lanes a lease can grant.
+    pub fn new(seed: u64, site_replicas: usize) -> InProcessTarget {
         InProcessTarget {
             seed,
-            virtualized,
             site_replicas: site_replicas.max(1),
             site: Calendar::new(),
             clock: SimTime::ZERO,
@@ -181,7 +178,8 @@ impl ExecutionTarget for InProcessTarget {
     }
 
     fn describe(&mut self, spec: &ExperimentSpec) -> Result<SetupReport, ControllerError> {
-        let tb = case_study_testbed(spec, self.seed, self.virtualized, true)?;
+        // Both testbeds share the wiring: the bare-metal one describes it.
+        let tb = case_study_testbed(spec, self.seed, false, true)?;
         Ok(SetupReport {
             topology: tb.topology.render(),
             hosts: spec.hosts(),
@@ -190,8 +188,8 @@ impl ExecutionTarget for InProcessTarget {
 
     fn run_sweep(&mut self, req: &SweepRequest<'_>) -> Result<ParallelOutcome, ControllerError> {
         // Lease the scatter group's lanes on the shared site calendar;
-        // the lease's bare-metal grant becomes the inner scheduler's
-        // replica pool so it cannot claim sets the site refused.
+        // the lease's grant becomes the inner scheduler's replica pool so
+        // it cannot claim sets the site refused.
         let sets = site_host_sets(&req.spec.hosts(), self.site_replicas);
         let lease = ScatterLease::acquire(
             &mut self.site,
@@ -203,13 +201,12 @@ impl ExecutionTarget for InProcessTarget {
             SimDuration::from_secs(req.spec.planned_duration_secs.max(1)),
         )
         .map_err(ControllerError::Allocation)?;
-        let bare_metal = lease.allocation.bare_metal();
         let popts = ParallelOptions {
             lanes: req.lanes,
             site_replicas: lease.site_replicas(),
             ..ParallelOptions::new(req.lanes)
         };
-        let mut make_lane = case_study_lanes(req.spec, self.seed, self.virtualized);
+        let mut make_lane = case_study_lanes(req.spec, self.seed);
         let result = run_parallel(req.spec, req.opts, &popts, &mut make_lane);
         lease.release(&mut self.site);
         let out = result?;
@@ -218,8 +215,7 @@ impl ExecutionTarget for InProcessTarget {
             id: format!("lease-{}", req.node),
             node: req.node.to_string(),
             lanes_requested: req.lanes,
-            lanes_granted: req.lanes,
-            bare_metal,
+            lanes_granted: out.lanes,
             queue_wait_secs: 0.0,
             elapsed_secs: out.parallel_elapsed.as_secs_f64(),
             state: "completed".into(),
@@ -232,7 +228,7 @@ impl ExecutionTarget for InProcessTarget {
         dir: &Path,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError> {
-        let mut make_lane = case_study_lanes(req.spec, self.seed, self.virtualized);
+        let mut make_lane = case_study_lanes(req.spec, self.seed);
         let out = resume_parallel(dir, req.spec, req.opts, &mut make_lane)?;
         self.clock += out.parallel_elapsed;
         self.jobs.push(JobRecord {
@@ -240,7 +236,6 @@ impl ExecutionTarget for InProcessTarget {
             node: req.node.to_string(),
             lanes_requested: req.lanes,
             lanes_granted: out.lanes,
-            bare_metal: out.flavors.iter().filter(|f| f.as_str() == "pos").count(),
             queue_wait_secs: 0.0,
             elapsed_secs: out.parallel_elapsed.as_secs_f64(),
             state: "resumed".into(),
@@ -269,7 +264,6 @@ impl ExecutionTarget for InProcessTarget {
 #[derive(Debug)]
 pub struct SimBatchTarget {
     inner: InProcessTarget,
-    partition: usize,
     next_job: u64,
     jobs: Vec<JobRecord>,
 }
@@ -277,11 +271,9 @@ pub struct SimBatchTarget {
 impl SimBatchTarget {
     /// A batch cluster whose partition grants at most `partition` lanes
     /// per job, executing from `seed`.
-    pub fn new(seed: u64, virtualized: bool, partition: usize) -> SimBatchTarget {
-        let partition = partition.max(1);
+    pub fn new(seed: u64, partition: usize) -> SimBatchTarget {
         SimBatchTarget {
-            inner: InProcessTarget::new(seed, virtualized, partition),
-            partition,
+            inner: InProcessTarget::new(seed, partition),
             next_job: 1,
             jobs: Vec::new(),
         }
@@ -295,21 +287,14 @@ impl SimBatchTarget {
         (raw % 600) as f64 + (raw % 10) as f64 / 10.0
     }
 
-    fn record(
-        &mut self,
-        req: &SweepRequest<'_>,
-        out: &ParallelOutcome,
-        granted: usize,
-        state: &str,
-    ) {
+    fn record(&mut self, req: &SweepRequest<'_>, out: &ParallelOutcome, state: &str) {
         let id = format!("job-{:04}", self.next_job);
         self.next_job += 1;
         self.jobs.push(JobRecord {
             id,
             node: req.node.to_string(),
             lanes_requested: req.lanes,
-            lanes_granted: granted,
-            bare_metal: out.flavors.iter().filter(|f| f.as_str() == "pos").count(),
+            lanes_granted: out.lanes,
             queue_wait_secs: self.queue_wait(req.node),
             elapsed_secs: out.parallel_elapsed.as_secs_f64(),
             state: state.into(),
@@ -327,18 +312,12 @@ impl ExecutionTarget for SimBatchTarget {
     }
 
     fn run_sweep(&mut self, req: &SweepRequest<'_>) -> Result<ParallelOutcome, ControllerError> {
-        // sbatch: the partition clamps the grant; lane-count invariance
-        // of the result tree is what makes the clamp artifact-neutral.
-        let granted = req.lanes.min(self.partition);
-        let clamped = SweepRequest {
-            node: req.node,
-            spec: req.spec,
-            opts: req.opts,
-            lanes: granted,
-        };
-        let out = self.inner.run_sweep(&clamped)?;
+        // sbatch: the partition is the inner target's site, so it clamps
+        // the grant; lane-count invariance of the result tree is what
+        // makes the clamp artifact-neutral.
+        let out = self.inner.run_sweep(req)?;
         self.inner.jobs.pop(); // replace the inner lease record with a job record
-        self.record(req, &out, granted, "completed");
+        self.record(req, &out, "completed");
         Ok(out)
     }
 
@@ -347,16 +326,9 @@ impl ExecutionTarget for SimBatchTarget {
         dir: &Path,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError> {
-        let granted = req.lanes.min(self.partition);
-        let clamped = SweepRequest {
-            node: req.node,
-            spec: req.spec,
-            opts: req.opts,
-            lanes: granted,
-        };
-        let out = self.inner.resume_sweep(dir, &clamped)?;
+        let out = self.inner.resume_sweep(dir, req)?;
         self.inner.jobs.pop();
-        self.record(req, &out, granted, "resumed");
+        self.record(req, &out, "resumed");
         Ok(out)
     }
 
@@ -374,8 +346,8 @@ mod tests {
 
     #[test]
     fn batch_queue_waits_are_deterministic_data() {
-        let a = SimBatchTarget::new(7, false, 2);
-        let b = SimBatchTarget::new(7, false, 2);
+        let a = SimBatchTarget::new(7, 2);
+        let b = SimBatchTarget::new(7, 2);
         assert_eq!(a.queue_wait("rate-sweep"), b.queue_wait("rate-sweep"));
         assert_ne!(a.queue_wait("rate-sweep"), a.queue_wait("other-sweep"));
     }
@@ -389,7 +361,6 @@ mod tests {
                 node: "rate-sweep".into(),
                 lanes_requested: 4,
                 lanes_granted: 2,
-                bare_metal: 2,
                 queue_wait_secs: 12.5,
                 elapsed_secs: 60.0,
                 state: "completed".into(),

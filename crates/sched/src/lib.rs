@@ -17,8 +17,8 @@ pub mod queue;
 
 pub use pos_core::campaign::{
     plan, plan_lanes, resume_campaign, resume_parallel, run_campaign, run_parallel, site_host_sets,
-    LaneAllocation, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
-    ParallelOutcome, ScatterLease, SupervisorOptions,
+    LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions, ParallelOutcome,
+    ScatterLease, SupervisorOptions,
 };
 pub use queue::{
     CompletedSubmission, CompletionOutcome, QueueError, QueueStatus, Submission, SubmissionQueue,

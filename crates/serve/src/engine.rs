@@ -729,7 +729,7 @@ impl ServeEngine {
                 case_study_testbed(&spec, seed, false, true)
                     .and_then(|tb| {
                         let mut lane0 = Controller::owning(tb).with_progress(self.observer());
-                        let mut make_lane = case_study_lanes(&spec, seed, false);
+                        let mut make_lane = case_study_lanes(&spec, seed);
                         run_campaign(&mut lane0, &spec, &opts, &popts, &mut make_lane)
                     })
                     .map(Launched::Campaign)
@@ -741,7 +741,7 @@ impl ServeEngine {
                 let mut dopts = DagOptions::new(lanes, seed);
                 dopts.dag_crash_after = crash_after;
                 dopts.dag_torn_write = torn;
-                let mut target = InProcessTarget::new(seed, false, lanes);
+                let mut target = InProcessTarget::new(seed, lanes);
                 run_dag(dag, &spec, &opts, &dopts, &mut target).map(Launched::Dag)
             }
         };

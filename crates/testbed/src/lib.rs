@@ -43,4 +43,4 @@ pub use image::{Image, ImageId, ImageStore};
 pub use power::{InitInterface, PowerError};
 pub use testbed::Testbed;
 pub use topology::{PortId, Topology, TopologyError};
-pub use vtestbed::{clone_virtual, CloneOptions, ClonePool};
+pub use vtestbed::{clone_virtual, CloneOptions};

@@ -79,72 +79,6 @@ pub fn clone_virtual(hardware: &Testbed, options: CloneOptions) -> Testbed {
     vtb
 }
 
-/// A pool of virtual clone testbeds of one hardware testbed.
-///
-/// A parallel campaign scheduler that cannot get enough disjoint
-/// bare-metal host sets from the calendar falls back to vpos replicas.
-/// The pool hands them out and takes them back: a released replica is
-/// reused (already-copied images, VM inventory) instead of being rebuilt,
-/// which is the virtual analogue of keeping an allocation warm between
-/// campaigns. Replica seeds are derived from the hardware seed and the
-/// replica's pool index, so the pool's output is reproducible regardless
-/// of acquire/release interleaving.
-pub struct ClonePool {
-    options: CloneOptions,
-    idle: Vec<Testbed>,
-    spawned: usize,
-}
-
-impl ClonePool {
-    /// An empty pool; `options.seed` (if set) seeds replica 0 only, later
-    /// replicas always get derived per-index seeds.
-    pub fn new(options: CloneOptions) -> ClonePool {
-        ClonePool {
-            options,
-            idle: Vec::new(),
-            spawned: 0,
-        }
-    }
-
-    /// Hands out a replica of `hardware`: the most recently released one
-    /// if any is idle, a freshly built clone otherwise.
-    ///
-    /// Command handlers are never cloned (they are host-side state, see
-    /// [`clone_virtual`]); the caller re-registers its command set on a
-    /// fresh replica.
-    pub fn acquire(&mut self, hardware: &Testbed) -> Testbed {
-        if let Some(tb) = self.idle.pop() {
-            return tb;
-        }
-        let index = self.spawned;
-        self.spawned += 1;
-        let mut options = self.options;
-        if index > 0 || options.seed.is_none() {
-            options.seed = Some(
-                pos_simkernel::SimRng::new(hardware.seed())
-                    .derive(&format!("vpos-clone/{index}"))
-                    .next_raw(),
-            );
-        }
-        clone_virtual(hardware, options)
-    }
-
-    /// Returns a replica to the pool for reuse.
-    pub fn release(&mut self, replica: Testbed) {
-        self.idle.push(replica);
-    }
-
-    /// How many distinct replicas this pool has ever built.
-    pub fn spawned(&self) -> usize {
-        self.spawned
-    }
-
-    /// How many replicas are idle right now.
-    pub fn idle(&self) -> usize {
-        self.idle.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,38 +137,6 @@ mod tests {
         v.wait_booted("vriga").unwrap();
         let boot = (v.now() - t0).as_secs_f64();
         assert!(boot < 15.0, "VM boot should take seconds, took {boot}");
-    }
-
-    #[test]
-    fn clone_pool_reuses_released_replicas() {
-        let hw = hardware();
-        let mut pool = ClonePool::new(CloneOptions::default());
-        let a = pool.acquire(&hw);
-        let b = pool.acquire(&hw);
-        assert_eq!(pool.spawned(), 2);
-        assert_ne!(a.seed(), b.seed(), "replicas get distinct derived seeds");
-        let a_seed = a.seed();
-        pool.release(a);
-        assert_eq!(pool.idle(), 1);
-        let c = pool.acquire(&hw);
-        assert_eq!(c.seed(), a_seed, "released replica is reused, not rebuilt");
-        assert_eq!(pool.spawned(), 2);
-
-        // Per-index seeds are reproducible across pools.
-        let mut pool2 = ClonePool::new(CloneOptions::default());
-        assert_eq!(pool2.acquire(&hw).seed(), a_seed);
-        assert_eq!(pool2.acquire(&hw).seed(), b.seed());
-    }
-
-    #[test]
-    fn clone_pool_exact_seed_applies_to_first_replica_only() {
-        let hw = hardware();
-        let mut pool = ClonePool::new(CloneOptions {
-            seed: Some(0x5EED),
-            ..CloneOptions::default()
-        });
-        assert_eq!(pool.acquire(&hw).seed(), 0x5EED);
-        assert_ne!(pool.acquire(&hw).seed(), 0x5EED);
     }
 
     #[test]

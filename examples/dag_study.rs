@@ -52,9 +52,9 @@ fn main() {
 
     // -------------------------------------------------- execute the DAG
     let mut target: Box<dyn ExecutionTarget> = if batch {
-        Box::new(SimBatchTarget::new(SEED, false, lanes))
+        Box::new(SimBatchTarget::new(SEED, lanes))
     } else {
-        Box::new(InProcessTarget::new(SEED, false, lanes))
+        Box::new(InProcessTarget::new(SEED, lanes))
     };
     println!(
         "executing on the {} target with {lanes} lanes ({} runs per sweep)...",

@@ -114,12 +114,14 @@ fi
 rm -rf "$SCRUB_DIR"
 
 # One-driver smoke, end to end through the CLI: every campaign runs
-# through the one lane driver, whose one-lane form is the controller. The
-# same small sweep at one lane, at two lanes and on vpos must each leave a
-# tree with a single journal (journal.log) that fscks clean and has
-# nothing to resume; the pos trees at one and two lanes must hash equal,
-# journals excluded.
-echo "==> one-driver smoke (pos run --lanes 1, --lanes 2, --testbed vpos)"
+# through the one lane driver, whose one-lane form is the controller, and
+# every lane runs the campaign's own testbed. The same small sweep at one
+# lane, at two lanes, at three lanes on a one-set site, and on vpos at one
+# and two lanes must each leave a tree with a single journal (journal.log)
+# that fscks clean and has nothing to resume. Journals excluded, the pos
+# trees must hash equal, the vpos trees must hash equal, and the
+# one-set site must say once that it plans fewer lanes than asked.
+echo "==> one-driver smoke (pos run --lanes 1|2|3, --testbed vpos --lanes 1|2)"
 ONE_DIR=$(mktemp -d)
 "$POS" init "$ONE_DIR/exp" >/dev/null
 cat >"$ONE_DIR/exp/loop-variables.yml" <<'EOF'
@@ -138,7 +140,7 @@ EOF
 one_driver_tree() {
     name=$1
     shift
-    "$POS" run "$ONE_DIR/exp" --results "$ONE_DIR/$name" "$@" >/dev/null
+    "$POS" run "$ONE_DIR/exp" --results "$ONE_DIR/$name" "$@" >"$ONE_DIR/$name.out"
     tree=$(dirname "$(find "$ONE_DIR/$name" -name journal.log)")
     journals=$(cd "$tree" && find . -maxdepth 1 -name 'journal*')
     if [ "$journals" != "./journal.log" ]; then
@@ -159,9 +161,23 @@ one_driver_tree() {
 }
 ONE_LANE=$(one_driver_tree lanes1 --lanes 1)
 TWO_LANES=$(one_driver_tree lanes2 --lanes 2)
-one_driver_tree vpos --testbed vpos >/dev/null
+CLAMPED=$(one_driver_tree clamped --lanes 3 --site-replicas 1)
+VPOS=$(one_driver_tree vpos --testbed vpos)
+VPOS_TWO=$(one_driver_tree vpos2 --testbed vpos --lanes 2)
 if [ "$ONE_LANE" != "$TWO_LANES" ]; then
     echo "one-driver smoke: the trees at one and two lanes differ" >&2
+    exit 1
+fi
+if [ "$ONE_LANE" != "$CLAMPED" ]; then
+    echo "one-driver smoke: --lanes 3 on a one-set site differs from one lane" >&2
+    exit 1
+fi
+if [ "$(grep -c 'exceeds the site' "$ONE_DIR/clamped.out")" != 1 ]; then
+    echo "one-driver smoke: the lane clamp was not noted exactly once" >&2
+    exit 1
+fi
+if [ "$VPOS" != "$VPOS_TWO" ]; then
+    echo "one-driver smoke: the vpos trees at one and two lanes differ" >&2
     exit 1
 fi
 rm -rf "$ONE_DIR"

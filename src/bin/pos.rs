@@ -42,8 +42,8 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    run_campaign, CompletionOutcome, LaneFaultPlan, LaneRecovery, ParallelOptions, ParallelOutcome,
-    SubmissionQueue,
+    run_campaign, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
+    ParallelOutcome, SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
@@ -146,7 +146,8 @@ fn usage() -> &'static str {
      usage:\n\
      \x20 pos init <dir>                     scaffold the case-study experiment\n\
      \x20 pos run <dir> [--results <root>] [--testbed pos|vpos] [--seed <n>]\n\
-     \x20         [--lanes <n>] [--site-replicas <n>]   parallel worker lanes\n\
+     \x20         [--lanes <n>] [--site-replicas <n>]   parallel worker lanes, at\n\
+     \x20         most one per replica set, all on the --testbed\n\
      \x20         [--max-run-retries <n>] [--lane-grace <f>]\n\
      \x20         [--lane-recovery redistribute|replace] [--poison-threshold <n>]\n\
      \x20         [--lane-faults <json-file>]            injected lane faults\n\
@@ -214,14 +215,15 @@ fn seed_flag(opts: &Opts) -> Result<u64, String> {
         .map(|seed| seed.unwrap_or(0x707))
 }
 
-/// `--testbed pos|vpos` (default pos): true for the virtualized one.
-fn testbed_flag(opts: &Opts) -> Result<bool, String> {
+/// `--testbed pos|vpos` (default pos).
+fn testbed_flag(opts: &Opts) -> Result<LaneFlavor, String> {
     let label = opts.get("testbed").copied().unwrap_or("pos");
-    launch::is_virtual(label).ok_or_else(|| format!("--testbed must be pos or vpos, got {label}"))
+    LaneFlavor::parse(label).ok_or_else(|| format!("--testbed must be pos or vpos, got {label}"))
 }
 
 /// `--lanes <n>` (default 1), `--site-replicas <n>` (default: the
-/// lanes) and `--partition <n>` (default: the site replicas).
+/// lanes; a campaign plans at most one lane per replica set) and
+/// `--partition <n>` (default: the site replicas).
 fn lane_flags(opts: &Opts) -> Result<(usize, usize, usize), String> {
     let count = |flag: &str, default: usize| -> Result<usize, String> {
         opts.get(flag)
@@ -286,11 +288,11 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
     let seed = seed_flag(&opts)?;
-    let virtualized = testbed_flag(&opts)?;
+    let flavor = testbed_flag(&opts)?;
     let (lanes, site_replicas, _) = lane_flags(&opts)?;
 
     let mut run_opts = run_options(&results, &opts)?;
-    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
+    run_opts.testbed_flavor = flavor.label().into();
     if let Some(&n) = opts.get("max-run-retries") {
         run_opts.max_run_retries = n
             .parse()
@@ -331,27 +333,30 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
     }
 
     // Lane 0 is the plain controller's testbed; a run with more lanes or
-    // a lane fault plan also prints the lane summary.
+    // a lane fault plan also prints the lane summary. Every lane runs the
+    // campaign's testbed, one per replica set the site owns.
     let supervised = lanes > 1 || !supervisor.fault_plan.is_empty();
-    if supervised && virtualized {
-        return Err(
-            "--lanes and --lane-faults need the pos testbed; lanes beyond \
-             --site-replicas run on vpos clones automatically"
-                .into(),
-        );
-    }
-    let mut tb = case_study_testbed(&spec, seed, virtualized, false).map_err(|e| e.to_string())?;
+    let testbed = run_opts.testbed_flavor.clone();
+    let mut tb = case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, false)
+        .map_err(|e| e.to_string())?;
     let runs = pos::core::loopvars::cross_product_size(&spec.loop_vars).unwrap_or(0);
     if supervised {
+        let sets = site_replicas.max(1);
+        let planned = lanes.min(sets);
+        if planned < lanes {
+            println!(
+                "note: --lanes {lanes} exceeds the site's {sets} replica set(s); \
+                 planning {planned} lane(s)"
+            );
+        }
         println!(
-            "running `{}` on {lanes} lanes ({site_replicas} bare-metal replica sets, seed {seed}, {runs} runs)...",
+            "running `{}` on {planned} {testbed} lane(s) (seed {seed}, {runs} runs)...",
             spec.name,
         );
     } else {
         println!(
-            "running `{}` on the {} testbed (seed {seed}, {runs} runs)...",
+            "running `{}` on the {testbed} testbed (seed {seed}, {runs} runs)...",
             spec.name,
-            if virtualized { "vpos" } else { "pos" },
         );
     }
     let popts = ParallelOptions {
@@ -359,17 +364,20 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
         site_replicas,
         supervisor,
     };
+    // Replicas boot on lane 0's testbed seed: a vpos clone derives its
+    // own from the user seed, and every lane must share it.
+    let lane_seed = tb.seed();
     let out = match run_campaign(
         &mut Controller::new(&mut tb).with_progress(print_progress),
         &spec,
         &run_opts,
         &popts,
-        &mut case_study_lanes(&spec, seed, virtualized),
+        &mut case_study_lanes(&spec, lane_seed),
     ) {
         Ok(out) => out,
         Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
     };
-    print_campaign_outcome(&out, supervised);
+    print_campaign_outcome(&out, supervised.then_some(&testbed));
     Ok(completion_of(&Launched::Campaign(out)))
 }
 
@@ -433,16 +441,17 @@ fn completion_of(out: &Launched) -> Completion {
 }
 
 /// The campaign summary (the per-run lines were printed live as each run
-/// landed), preceded by the lane and speedup summary when `lanes` asks.
-fn print_campaign_outcome(out: &ParallelOutcome, lanes: bool) {
-    if !lanes {
+/// landed), preceded by the lane and speedup summary when the campaign's
+/// `testbed` is given.
+fn print_campaign_outcome(out: &ParallelOutcome, testbed: Option<&String>) {
+    let Some(testbed) = testbed else {
         print_outcome(&out.outcome);
         return;
-    }
+    };
     println!(
         "lanes: {} [{}], runs per lane {:?}",
         out.lanes,
-        out.flavors.join(","),
+        vec![testbed.as_str(); out.lanes].join(","),
         out.lane_runs.iter().map(Vec::len).collect::<Vec<_>>()
     );
     println!(
@@ -579,7 +588,9 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
         Err(e) => return checkpointed_or_error(e, dir),
     };
     match &out {
-        Launched::Campaign(out) => print_campaign_outcome(out, out.lanes > 1),
+        Launched::Campaign(out) => {
+            print_campaign_outcome(out, (out.lanes > 1).then_some(&tree.testbed))
+        }
         Launched::Dag(out) => print_dag_outcome(out),
     }
     Ok(completion_of(&out))
@@ -1044,13 +1055,13 @@ fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
     let seed = seed_flag(&opts)?;
-    let virtualized = testbed_flag(&opts)?;
+    let flavor = testbed_flag(&opts)?;
     let (lanes, site_replicas, partition) = lane_flags(&opts)?;
     let label = opts.get("target").copied().unwrap_or("in-process");
-    let mut target = launch::target(label, seed, virtualized, site_replicas, partition)
+    let mut target = launch::target(label, seed, site_replicas, partition)
         .ok_or_else(|| format!("--target must be in-process or sim-batch, got {label}"))?;
     let mut run_opts = run_options(&results, &opts)?;
-    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
+    run_opts.testbed_flavor = flavor.label().into();
     println!(
         "running DAG `{}` ({} stages, {lanes} lanes, seed {seed}, target {})...",
         dag.name,

@@ -50,7 +50,7 @@ fn workdir(name: &str) -> PathBuf {
 }
 
 fn in_process() -> InProcessTarget {
-    InProcessTarget::new(SEED, true, 2)
+    InProcessTarget::new(SEED, 2)
 }
 
 /// Every file under `root` (relative path → bytes), excluding journals
@@ -141,7 +141,7 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
     // The simulated batch target queues jobs and clamps lanes to its
     // partition width, but the merged artifacts must not know that.
     let root = workdir("batch");
-    let mut batch = SimBatchTarget::new(SEED, true, 2);
+    let mut batch = SimBatchTarget::new(SEED, 2);
     let out = run_dag(
         &dag(),
         &small_spec(),
@@ -312,7 +312,7 @@ fn resume_refuses_identity_drift() {
         "wrong seed must be refused: {wrong_seed:?}"
     );
 
-    let mut batch = SimBatchTarget::new(SEED, true, 2);
+    let mut batch = SimBatchTarget::new(SEED, 2);
     let wrong_target = resume_dag(
         &dag_dir,
         &RunOptions::new(&root),

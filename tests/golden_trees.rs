@@ -9,14 +9,14 @@
 //! *meant* to alter the measurement bytes must say so and re-record the
 //! fixture from the digests this test prints on mismatch.
 
-use pos::core::commands::case_study_testbed;
+use pos::core::commands::{case_study_lanes, case_study_testbed};
 use pos::core::controller::ExperimentOutcome;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::resultstore::tree_digest;
 use pos::core::vars::Variables;
 use pos::netsim::{ChaosEvent, ChaosPlan, FaultConfig};
-use pos::sched::{run_parallel, LaneFlavor, ParallelOptions};
+use pos::sched::{run_campaign, run_parallel, LaneFlavor, ParallelOptions};
 use pos::simkernel::SimTime;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,6 +104,28 @@ fn two_lane_tree_matches_golden() {
     })
     .unwrap();
     check("lanes-2", &out.outcome.result_dir);
+}
+
+#[test]
+fn two_lane_vpos_tree_matches_sequential_vpos_golden() {
+    // Every lane of a vpos campaign is a clone booted on lane 0's
+    // (derived) testbed seed, as `pos run --testbed vpos --lanes 2`
+    // builds them: the tree is the one-lane vpos tree.
+    let spec = spec();
+    let mut tb = case_study_testbed(&spec, SEED, true, false).unwrap();
+    let mut opts = RunOptions::new(tmp("lanes-2-vpos"));
+    opts.testbed_flavor = "vpos".into();
+    let lane_seed = tb.seed();
+    let out = run_campaign(
+        &mut Controller::new(&mut tb),
+        &spec,
+        &opts,
+        &ParallelOptions::new(2),
+        &mut case_study_lanes(&spec, lane_seed),
+    )
+    .unwrap();
+    assert_eq!(out.lanes, 2);
+    check("sequential-vpos", &out.outcome.result_dir);
 }
 
 #[test]

@@ -6,19 +6,20 @@
 //! * a campaign crashed mid-flight by journal fault injection and then
 //!   resumed with `resume_parallel` converges to that same tree;
 //! * lane failover — injected lane deaths at run boundaries, watchdog
-//!   retirements, poison-run quarantine, replacement-lane replanning —
-//!   never perturbs the tree: the merged result stays byte-identical to
-//!   `--lanes 1` under the same fault plan, crashes mid-failover
-//!   included.
+//!   retirements, poison-run quarantine, replacement-lane replanning,
+//!   a site with no set left for a replacement — never perturbs the
+//!   tree: the merged result stays byte-identical to `--lanes 1` under
+//!   the same fault plan, crashes mid-failover included.
 
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, ControllerError, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
+use pos::core::journal::{Journal, JournalRecord, JOURNAL_FILE};
 use pos::sched::{
     resume_parallel, run_parallel, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery,
     ParallelOptions, ParallelOutcome,
 };
-use pos::testbed::{clone_virtual, CloneOptions, HardwareSpec, InitInterface, PortId, Testbed};
+use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,13 +28,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const SEED: u64 = 0x5EED;
 
 fn case_study_testbed() -> Testbed {
-    lane_testbed(LaneFlavor::BareMetal)
-}
-
-/// A replica testbed for any lane flavor: replacement lanes beyond the
-/// site's replica sets come from the clone pool (`vpos`), cloned with
-/// the same root seed so artifacts stay byte-identical.
-fn lane_testbed(flavor: LaneFlavor) -> Testbed {
     let mut tb = Testbed::new(SEED);
     tb.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
     tb.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
@@ -43,17 +37,6 @@ fn lane_testbed(flavor: LaneFlavor) -> Testbed {
     tb.topology
         .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
         .unwrap();
-    let mut tb = if flavor == LaneFlavor::Virtual {
-        clone_virtual(
-            &tb,
-            CloneOptions {
-                seed: Some(SEED),
-                ..CloneOptions::default()
-            },
-        )
-    } else {
-        tb
-    };
     register_all(&mut tb);
     tb
 }
@@ -121,8 +104,14 @@ fn assert_trees_identical(a: &Path, b: &Path, what: &str) {
     }
 }
 
+/// Every lane, replacements included, is asked for on the campaign's
+/// own testbed: `pos`, the `RunOptions` default.
 fn make_lane(_lane: usize, flavor: LaneFlavor) -> Result<Testbed, ControllerError> {
-    assert_eq!(flavor, LaneFlavor::BareMetal, "tests use bare-metal lanes");
+    assert_eq!(
+        flavor,
+        LaneFlavor::BareMetal,
+        "a pos campaign has only pos lanes"
+    );
     Ok(case_study_testbed())
 }
 
@@ -230,10 +219,9 @@ fn find_result_dir(root: &Path) -> PathBuf {
 
 fn faulted_popts(lanes: usize, plan: LaneFaultPlan, recovery: LaneRecovery) -> ParallelOptions {
     let mut popts = ParallelOptions::new(lanes);
-    // Leave spare bare-metal replica sets on the site calendar so every
-    // replacement lane is a bare-metal set: clone-pool replacements
-    // carry vpos fidelity and legitimately measure differently (that is
-    // the paper's Table 1 trade-off, covered by its own test below).
+    // Leave spare replica sets on the site calendar so every failover
+    // can plan its replacement lane (a site with none left is covered
+    // by its own test below).
     popts.site_replicas = lanes + 4;
     popts.supervisor.fault_plan = plan;
     popts.supervisor.recovery = recovery;
@@ -241,10 +229,7 @@ fn faulted_popts(lanes: usize, plan: LaneFaultPlan, recovery: LaneRecovery) -> P
 }
 
 fn run_faulted(popts: &ParallelOptions, opts: &RunOptions) -> ParallelOutcome {
-    run_parallel(&small_spec(), opts, popts, &mut |_, flavor| {
-        Ok(lane_testbed(flavor))
-    })
-    .unwrap()
+    run_parallel(&small_spec(), opts, popts, &mut make_lane).unwrap()
 }
 
 #[test]
@@ -361,23 +346,15 @@ fn crash_mid_failover_resumes_to_identical_tree() {
             let mut opts = RunOptions::new(&root);
             opts.journal_crash_after = Some(crash_after);
             opts.journal_torn_write = torn;
-            let err = run_parallel(&small_spec(), &opts, &popts, &mut |_, flavor| {
-                Ok(lane_testbed(flavor))
-            })
-            .unwrap_err();
+            let err = run_parallel(&small_spec(), &opts, &popts, &mut make_lane).unwrap_err();
             assert!(
                 err.to_string().contains("injected journal crash"),
                 "crash_after={crash_after} torn={torn}: unexpected error: {err}"
             );
 
             let dir = find_result_dir(&root);
-            let out = resume_parallel(
-                &dir,
-                &small_spec(),
-                &RunOptions::new(&root),
-                &mut |_, flavor| Ok(lane_testbed(flavor)),
-            )
-            .unwrap();
+            let out = resume_parallel(&dir, &small_spec(), &RunOptions::new(&root), &mut make_lane)
+                .unwrap();
             assert_eq!(
                 out.outcome.successes(),
                 5,
@@ -426,10 +403,12 @@ fn watchdog_retirements_preserve_identity() {
 }
 
 #[test]
-fn replacement_exhausts_site_and_falls_back_to_clone_pool() {
-    // With no spare bare-metal replica sets (site_replicas == lanes),
-    // a replacement lane comes from the clone pool: the campaign still
-    // completes every run, on a lane journaled as `vpos`.
+fn replacement_exhausts_site_and_falls_back_to_redistribute() {
+    // With no spare replica set (site_replicas == lanes) there is no
+    // replacement lane — above all no lane on another testbed: the dead
+    // lane's work flows to the survivors, as under Redistribute, and the
+    // tree is the one-lane tree.
+    let ref_dir = run_with_lanes(&workdir("exhausted-ref"), 1);
     let plan = LaneFaultPlan {
         lane_deaths: vec![LaneDeath {
             lane: 1,
@@ -440,15 +419,49 @@ fn replacement_exhausts_site_and_falls_back_to_clone_pool() {
     let mut popts = ParallelOptions::new(4);
     popts.supervisor.fault_plan = plan;
     popts.supervisor.recovery = LaneRecovery::Replacement;
-    let root = workdir("clone-fallback");
-    let out = run_faulted(&popts, &RunOptions::new(&root));
+    let out = run_faulted(&popts, &RunOptions::new(workdir("exhausted")));
     assert_eq!(out.outcome.successes(), 6);
-    assert_eq!(out.replanned_lanes, 1);
-    assert_eq!(
-        out.flavors.last().map(String::as_str),
-        Some("vpos"),
-        "the replacement must come from the clone pool: {:?}",
-        out.flavors
+    assert_eq!(out.lanes, 4);
+    assert_eq!(out.replanned_lanes, 0);
+    assert_eq!(out.retired_lanes.len(), 1);
+    assert_trees_identical(
+        &ref_dir,
+        &out.outcome.result_dir,
+        "exhausted-site replacement vs lanes=1",
+    );
+    let replay = Journal::replay(&out.outcome.result_dir.join(JOURNAL_FILE)).unwrap();
+    assert!(
+        !replay
+            .records
+            .iter()
+            .any(|r| matches!(r, JournalRecord::LaneReplanned { .. })),
+        "no replacement lane may be journaled"
+    );
+    assert!(pos::core::fsck::fsck(&out.outcome.result_dir)
+        .unwrap()
+        .is_clean());
+}
+
+#[test]
+fn last_lane_death_without_a_free_set_fails_the_campaign() {
+    // The poison run kills the only lane and the site has no set left
+    // for the forced replacement: the campaign fails, it does not go on
+    // on another testbed.
+    let mut popts = ParallelOptions::new(1);
+    popts.supervisor.fault_plan = LaneFaultPlan {
+        lane_deaths: vec![],
+        poison_runs: vec![2],
+    };
+    let err = run_parallel(
+        &small_spec(),
+        &RunOptions::new(workdir("no-set")),
+        &popts,
+        &mut make_lane,
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("free for a replacement"),
+        "unexpected error: {err}"
     );
 }
 
@@ -468,10 +481,7 @@ fn interrupted_failover_strands_run_and_fsck_flags_it() {
     // Appends: CampaignStarted, LanePlan, SupervisorPlan, runs 0 and 1
     // (RunStarted + RunCompleted each), LaneRetired, then RunRetry (8).
     opts.journal_crash_after = Some(8);
-    let err = run_parallel(&small_spec(), &opts, &popts, &mut |_, flavor| {
-        Ok(lane_testbed(flavor))
-    })
-    .unwrap_err();
+    let err = run_parallel(&small_spec(), &opts, &popts, &mut make_lane).unwrap_err();
     assert!(err.to_string().contains("injected journal crash"), "{err}");
 
     let dir = find_result_dir(&root);
@@ -487,13 +497,8 @@ fn interrupted_failover_strands_run_and_fsck_flags_it() {
         "fsck must report the retired lane:\n{rendered}"
     );
 
-    let out = resume_parallel(
-        &dir,
-        &small_spec(),
-        &RunOptions::new(&root),
-        &mut |_, flavor| Ok(lane_testbed(flavor)),
-    )
-    .unwrap();
+    let out =
+        resume_parallel(&dir, &small_spec(), &RunOptions::new(&root), &mut make_lane).unwrap();
     assert_eq!(out.outcome.quarantined_runs, vec![2]);
     let report = pos::core::fsck::fsck(&dir).unwrap();
     assert!(

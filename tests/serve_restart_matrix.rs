@@ -311,7 +311,7 @@ fn dag_submission_matches_run_dag_and_converges_after_journal_kills() {
         &spec,
         &RunOptions::new(&direct),
         &DagOptions::new(1, seed),
-        &mut InProcessTarget::new(seed, false, 1),
+        &mut InProcessTarget::new(seed, 1),
     )
     .expect("direct DAG succeeds");
     let reference = reference_trees(&root, &tenants);

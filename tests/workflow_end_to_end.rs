@@ -119,7 +119,7 @@ fn dag_study_to_published_bundle() {
         &spec,
         &RunOptions::new(tmp("dag-e2e-results")),
         &DagOptions::new(2, 0x707),
-        &mut InProcessTarget::new(0x707, false, 2),
+        &mut InProcessTarget::new(0x707, 2),
     )
     .expect("DAG executes");
     assert_eq!(out.nodes.len(), 3);
