@@ -26,7 +26,8 @@ use pos_core::controller::{ControllerError, RunOptions};
 use pos_core::experiment::ExperimentSpec;
 use pos_core::hash::sha256_hex;
 use pos_sched::{
-    resume_parallel, run_parallel, site_host_sets, ParallelOptions, ParallelOutcome, ScatterLease,
+    resume_parallel, run_parallel, site_host_sets, LaneFlavor, ParallelOptions, ParallelOutcome,
+    ScatterLease,
 };
 use pos_simkernel::{SimDuration, SimTime};
 use pos_testbed::Calendar;
@@ -157,8 +158,8 @@ pub struct InProcessTarget {
 }
 
 impl InProcessTarget {
-    /// A target running every lane's testbed from `seed`, on the
-    /// campaign's testbed (`RunOptions::testbed_flavor`).
+    /// A target deriving every lane's testbed from the user seed `seed`,
+    /// on the campaign's testbed (`RunOptions::testbed_flavor`).
     /// `site_replicas` bounds the replica sets the shared site owns, and
     /// so the lanes a lease can grant.
     pub fn new(seed: u64, site_replicas: usize) -> InProcessTarget {
@@ -169,6 +170,14 @@ impl InProcessTarget {
             clock: SimTime::ZERO,
             jobs: Vec::new(),
         }
+    }
+
+    /// The testbed seed every lane of a sweep boots on: lane 0's, as
+    /// `pos run` derives it — the user seed on `pos`, the clone seed
+    /// vpos derives from it on `vpos`.
+    fn lane_seed(&self, req: &SweepRequest<'_>) -> Result<u64, ControllerError> {
+        let virtualized = LaneFlavor::parse(&req.opts.testbed_flavor) == Some(LaneFlavor::Virtual);
+        Ok(case_study_testbed(req.spec, self.seed, virtualized, false)?.seed())
     }
 }
 
@@ -206,7 +215,7 @@ impl ExecutionTarget for InProcessTarget {
             site_replicas: lease.site_replicas(),
             ..ParallelOptions::new(req.lanes)
         };
-        let mut make_lane = case_study_lanes(req.spec, self.seed);
+        let mut make_lane = case_study_lanes(req.spec, self.lane_seed(req)?);
         let result = run_parallel(req.spec, req.opts, &popts, &mut make_lane);
         lease.release(&mut self.site);
         let out = result?;
@@ -228,7 +237,7 @@ impl ExecutionTarget for InProcessTarget {
         dir: &Path,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError> {
-        let mut make_lane = case_study_lanes(req.spec, self.seed);
+        let mut make_lane = case_study_lanes(req.spec, self.lane_seed(req)?);
         let out = resume_parallel(dir, req.spec, req.opts, &mut make_lane)?;
         self.clock += out.parallel_elapsed;
         self.jobs.push(JobRecord {

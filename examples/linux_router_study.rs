@@ -31,7 +31,7 @@ fn main() {
 
     // ------------------------------------------------- experiment phases
     println!("running the case study ({rate_steps} rates x 2 sizes, {run_secs}s runs)...");
-    let outcome = pos_bench_case_study(&root, rate_steps, run_secs);
+    let outcome = case_study(&root, rate_steps, run_secs);
     println!(
         "  {} runs, {} ok, {} virtual time",
         outcome.runs.len(),
@@ -99,28 +99,19 @@ fn main() {
     );
 }
 
-/// Thin wrapper so the example does not depend on the bench crate.
-fn pos_bench_case_study(
+/// The case-study campaign on the bare-metal testbed the `pos` CLI
+/// builds for it, seed `0x705`.
+fn case_study(
     root: &std::path::Path,
     rate_steps: usize,
     run_secs: u64,
 ) -> pos::core::controller::ExperimentOutcome {
-    use pos::core::commands::register_all;
+    use pos::core::commands::case_study_testbed;
     use pos::core::controller::{Controller, RunOptions};
     use pos::core::experiment::linux_router_experiment;
-    use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 
-    let mut tb = Testbed::new(0x705);
-    tb.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-    tb.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-    tb.topology
-        .wire(PortId::new("vriga", 0), PortId::new("vtartu", 0))
-        .expect("fresh ports");
-    tb.topology
-        .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
-        .expect("fresh ports");
-    register_all(&mut tb);
     let spec = linux_router_experiment("vriga", "vtartu", rate_steps, run_secs);
+    let mut tb = case_study_testbed(&spec, 0x705, false, true).expect("case-study topology");
     Controller::new(&mut tb)
         .run_experiment(&spec, &RunOptions::new(root))
         .expect("case study experiment")

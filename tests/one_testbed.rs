@@ -6,7 +6,8 @@
 //!   one lane per set, says so once, and leaves the one-lane tree;
 //! * `pos run --testbed vpos --lanes 2` boots every lane on lane 0's
 //!   clone seed and leaves the one-lane vpos tree;
-//! * `pos dag run` on the in-process target does the same for a DAG;
+//! * `pos dag run` on the in-process target does the same for a DAG,
+//!   and a vpos DAG measures on the clone seed `pos run` derives;
 //! * a tree that does mix testbeds — a `pos` campaign whose journal
 //!   records a `vpos` lane — is named by `pos fsck` and refused by
 //!   `pos resume`.
@@ -206,6 +207,40 @@ fn dag_run_beyond_the_site_matches_one_lane() {
         "results: ",
     );
     assert_same_tree(&one, &three, "dag --lanes 3 --site-replicas 1 vs --lanes 1");
+}
+
+/// The bytes of the one `run-0000/loadgen_measurement.log` under `root`.
+fn first_measurement(root: &Path) -> Vec<u8> {
+    let mut hits: Vec<Vec<u8>> = snapshot(root)
+        .into_iter()
+        .filter(|(rel, _)| rel.ends_with("run-0000/loadgen_measurement.log"))
+        .map(|(_, bytes)| bytes)
+        .collect();
+    assert_eq!(hits.len(), 1, "one first run under {}", root.display());
+    hits.remove(0)
+}
+
+#[test]
+fn vpos_dag_measures_on_the_campaign_clone_seed() {
+    // A vpos DAG's sweep boots on the clone seed `pos run --testbed
+    // vpos` derives from the user seed, so the same experiment and seed
+    // measure the same bytes through either command.
+    let dir = scaffold("vpos-dag", false);
+    let vpos = ["--testbed", "vpos", "--seed", "7"];
+    let (_, campaign) = run_tree(
+        &dir,
+        &[&["run", "exp", "--results", "campaign"][..], &vpos].concat(),
+        "result tree: ",
+    );
+    let (_, dag) = run_tree(
+        &dir,
+        &[&["dag", "run", "exp", "--results", "dag"][..], &vpos].concat(),
+        "results: ",
+    );
+    assert!(
+        first_measurement(&campaign) == first_measurement(&dag),
+        "the vpos DAG measured other bytes than the vpos campaign"
+    );
 }
 
 /// Rewrites the journal of `tree` record by record through `edit`.

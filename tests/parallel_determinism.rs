@@ -9,12 +9,15 @@
 //!   retirements, poison-run quarantine, replacement-lane replanning,
 //!   a site with no set left for a replacement — never perturbs the
 //!   tree: the merged result stays byte-identical to `--lanes 1` under
-//!   the same fault plan, crashes mid-failover included.
+//!   the same fault plan, crashes mid-failover included;
+//! * the lanes pay off: 4 lanes at least halve the case-study campaign's
+//!   virtual time, and one lane death does not triple it.
 
-use pos::core::commands::register_all;
+use pos::core::commands::{case_study_lanes, register_all};
 use pos::core::controller::{Controller, ControllerError, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::journal::{Journal, JournalRecord, JOURNAL_FILE};
+use pos::core::vars::VarValue;
 use pos::sched::{
     resume_parallel, run_parallel, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery,
     ParallelOptions, ParallelOutcome,
@@ -44,6 +47,27 @@ fn case_study_testbed() -> Testbed {
 fn small_spec() -> ExperimentSpec {
     linux_router_experiment("vriga", "vtartu", 3, 1)
 }
+
+/// The case-study sweep: `rate_steps` offered rates (× 2 packet sizes)
+/// spread up to `max_rate` pps, `run_secs` per run. A run's virtual
+/// duration is set by `run_secs`, not by how many packets it simulates,
+/// so shrunk rates keep the simulation cheap without moving the
+/// virtual-time speedup.
+fn campaign_spec(run_secs: u64, rate_steps: usize, max_rate: i64) -> ExperimentSpec {
+    let mut spec = linux_router_experiment("vriga", "vtartu", rate_steps, run_secs);
+    let lo = (max_rate / 30).max(1_000).min(max_rate);
+    let rates: Vec<i64> = (1..=rate_steps as i64)
+        .map(|i| lo + (max_rate - lo) * (i - 1) / (rate_steps as i64 - 1).max(1))
+        .collect();
+    spec.loop_vars.set(
+        "pkt_rate",
+        VarValue::List(rates.into_iter().map(Into::into).collect()),
+    );
+    spec
+}
+
+/// Seed of the case-study-shaped campaigns below.
+const CASE_STUDY_SEED: u64 = 21;
 
 fn workdir(name: &str) -> PathBuf {
     // Tests run in parallel threads of one process: the pid alone would
@@ -164,6 +188,26 @@ fn parallel_speedup_is_real() {
         out.lane_runs.iter().filter(|l| !l.is_empty()).count() > 1,
         "work must actually spread across lanes: {:?}",
         out.lane_runs
+    );
+
+    // The case-study shape (60 runs × 10 s): its runs are long enough
+    // for the one-time campaign setup (~160 s virtual, paid at every
+    // lane count) to amortize, so 4 lanes must at least halve it.
+    let root = workdir("speedup-case-study");
+    let spec = campaign_spec(10, 30, 2_000);
+    let out = run_parallel(
+        &spec,
+        &RunOptions::new(&root),
+        &ParallelOptions::new(4),
+        &mut case_study_lanes(&spec, CASE_STUDY_SEED),
+    )
+    .unwrap();
+    assert_eq!(out.outcome.runs.len(), 60);
+    assert_eq!(out.outcome.successes(), 60, "the campaign is fault-free");
+    assert!(
+        out.speedup() >= 2.0,
+        "4 lanes must at least halve the case-study campaign, got {:.2}x",
+        out.speedup()
     );
 }
 
@@ -507,4 +551,50 @@ fn interrupted_failover_strands_run_and_fsck_flags_it() {
         report.render()
     );
     assert!(report.render().contains("quarantined runs: [2]"));
+}
+
+#[test]
+fn lane_death_recovery_completes_and_is_bounded() {
+    // What a lane death costs: lane 1 of a 4-lane, 12-run campaign dies
+    // after its first dispatched run, once per recovery policy. Every
+    // run still succeeds, and the virtual makespan stays under 3× the
+    // fault-free one.
+    let spec = campaign_spec(5, 6, 2_000);
+    let run = |popts: &ParallelOptions| {
+        let root = workdir("failover-cost");
+        let mut make_lane = case_study_lanes(&spec, CASE_STUDY_SEED);
+        let out = run_parallel(&spec, &RunOptions::new(&root), popts, &mut make_lane).unwrap();
+        assert_eq!(out.outcome.runs.len(), 12);
+        assert_eq!(
+            out.outcome.successes(),
+            12,
+            "a boundary lane death must not lose runs"
+        );
+        out
+    };
+    let fault_free = run(&ParallelOptions::new(4)).parallel_elapsed;
+    for (recovery, replanned) in [
+        (LaneRecovery::Redistribute, 0),
+        (LaneRecovery::Replacement, 1),
+    ] {
+        let mut popts = ParallelOptions::new(4);
+        // One spare replica set for the replacement lane.
+        popts.site_replicas = 5;
+        popts.supervisor.recovery = recovery;
+        popts.supervisor.fault_plan = LaneFaultPlan {
+            lane_deaths: vec![LaneDeath {
+                lane: 1,
+                after_dispatches: 1,
+            }],
+            poison_runs: vec![],
+        };
+        let out = run(&popts);
+        assert_eq!(out.retired_lanes.len(), 1, "{recovery:?}");
+        assert_eq!(out.replanned_lanes, replanned, "{recovery:?}");
+        let slowdown = out.parallel_elapsed.as_nanos() as f64 / fault_free.as_nanos() as f64;
+        assert!(
+            slowdown < 3.0,
+            "{recovery:?}: a single lane death must not triple the campaign, got {slowdown:.2}x"
+        );
+    }
 }

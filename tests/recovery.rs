@@ -479,18 +479,36 @@ fn chaos_campaign_interrupted_mid_quarantine_resumes_identically() {
 fn generated_campaign_roundtrips_and_replays() {
     // A seed-generated campaign archives as JSON, reloads validated, and
     // replays to the same outcome — the plan file alone reproduces the
-    // degraded experiment.
-    let cfg = pos::netsim::CampaignConfig {
+    // degraded experiment. Two fault mixes: a crash plus a hang, and one
+    // of everything scheduled inside the sweep's measurement window.
+    let crash_and_hang = pos::netsim::CampaignConfig {
         crashes: 1,
         hangs: 1,
         ..Default::default()
     };
-    let plan = ChaosPlan::generate(0xC0FFEE, &["vriga", "vtartu"], &cfg);
-    let reloaded = ChaosPlan::from_json(&plan.to_json()).unwrap();
-    assert_eq!(plan, reloaded);
+    let one_of_everything = pos::netsim::CampaignConfig {
+        horizon: SimDuration::from_mins(3),
+        warmup: SimDuration::from_secs(95),
+        crashes: 1,
+        wedges: 1,
+        power_outages: 1,
+        hangs: 1,
+        link_fault_windows: 1,
+        ..Default::default()
+    };
+    for (seed, cfg) in [(0xC0FFEE, crash_and_hang), (0xBADC0DE, one_of_everything)] {
+        let plan = ChaosPlan::generate(seed, &["vriga", "vtartu"], &cfg);
+        let reloaded = ChaosPlan::from_json(&plan.to_json()).unwrap();
+        assert_eq!(plan, reloaded);
 
-    let a = run_chaos_scenario("chaos-gen", InitInterface::Ipmi, &reloaded, |_| {});
-    let b = run_chaos_scenario("chaos-gen-replay", InitInterface::Ipmi, &plan, |_| {});
-    assert_eq!(a.outcome.runs.len(), 4);
-    assert_eq!(a.summary, b.summary);
+        let a = run_chaos_scenario("chaos-gen", InitInterface::Ipmi, &reloaded, |_| {});
+        let b = run_chaos_scenario("chaos-gen-replay", InitInterface::Ipmi, &plan, |_| {});
+        assert_eq!(a.outcome.runs.len(), 4, "{seed:#x}");
+        assert_eq!(a.summary, b.summary, "{seed:#x}: same plan, same outcome");
+        assert_eq!(
+            a.outcome.successes() + a.outcome.failed_runs.len(),
+            a.outcome.runs.len(),
+            "{seed:#x}: every run is accounted for"
+        );
+    }
 }
